@@ -13,23 +13,24 @@ maps, so the implicit operator sees exactly the boundary treatment of the
 explicit stencils.
 
 Newton with projection onto box bounds and residual line search solves the
-system; the linear stages are direct in one dimension (banded, or cyclic
-tridiagonal chains under periodicity) and a Jacobi-preconditioned conjugate
-gradient on a symmetrized form in two.
+system.  The coupling matrix A is assembled once per operator into the
+grid's fixed pattern for the stencil, and each linear stage only adds the
+Newton diagonal to -A: in one dimension the pattern's paths and cycles are
+solved by one tridiagonal solve with a rank-one correction per cycle, in two
+by a Jacobi-preconditioned conjugate gradient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solve_banded
-from scipy.sparse.linalg import cg, splu
+from scipy.linalg.lapack import dgtsv
+from scipy.sparse.linalg import cg
 
-from congested_euler.grid import Grid, Periodic, pad_field
+from congested_euler.grid import Grid, _shifted, pad_field
 
 
 @dataclass(frozen=True)
@@ -48,14 +49,14 @@ class NewtonError(RuntimeError):
         self.report = report
 
 
-def _shifted(grid: Grid, padded, width: int, offset):
-    """Interior-shaped view of a padded array displaced by a stencil offset."""
-    if grid.ndim == 1:
-        return padded[width + offset : width + offset + grid.nx]
-    dj, di = offset
-    return padded[
-        width + dj : width + dj + grid.ny, width + di : width + di + grid.nx
-    ]
+class LinearSolveError(RuntimeError):
+    """A linear stage failed; carries the solver's info code and the diagonal range."""
+
+    def __init__(self, message: str, info: int, diagonal):
+        self.info, self.diag_min, self.diag_max = info, np.min(diagonal), np.max(diagonal)
+        super().__init__(
+            f"{message} (info={info}, diagonal in [{self.diag_min:.3e}, {self.diag_max:.3e}])"
+        )
 
 
 @dataclass(eq=False)
@@ -74,7 +75,10 @@ class DiffusionOperator:
     g_boundary: np.ndarray | None = None
 
     def __post_init__(self):
+        offsets = tuple(off for off, _ in self.terms)
+        self.pattern = self.grid.stencil_pattern(self.width, offsets)
         self._built = None
+        self._neg = None
 
     def apply(self, g):
         """Reference evaluation through ghost padding."""
@@ -88,34 +92,27 @@ class DiffusionOperator:
     def matrix(self):
         """(A, b) with apply(g).ravel() == A @ g.ravel() + b."""
         if self._built is None:
-            gm = self.grid.ghost_map(self.width)
-            n = self.grid.size
-            rows, cols, vals = [], [], []
-            b = np.zeros(n)
-            c = np.arange(n)
-            for off, w in self.terms:
-                wf = np.asarray(w, dtype=float).ravel()
-                nb = np.asarray(_shifted(self.grid, gm.src, self.width, off)).ravel()
-                inside = nb >= 0
-                rows.append(c[inside])
-                cols.append(nb[inside])
-                vals.append(wf[inside])
-                rows.append(c)
-                cols.append(c)
-                vals.append(-wf)
-                if not inside.all():
-                    if self.g_boundary is None:
-                        raise ValueError(
-                            "fixed-state side present but no boundary g given"
-                        )
-                    gb = np.asarray(self.g_boundary, dtype=float)
-                    b[c[~inside]] += wf[~inside] * gb[-1 - nb[~inside]]
-            A = sp.coo_matrix(
-                (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                shape=(n, n),
-            ).tocsr()
+            p, n = self.pattern, self.grid.size
+            w = np.stack([np.asarray(wk, dtype=float).ravel() for _, wk in self.terms])
+            data = np.bincount(p.scatter, np.stack([w, -w], axis=1).ravel(),
+                               p.indices.size + 1)
+            A = sp.csr_matrix((data[:-1], p.indices, p.indptr), shape=(n, n))
+            # b = apply(0), which only neighbours beyond fixed-state sides reach
+            b = self.apply(np.zeros(n)).ravel() if self.grid.has_dirichlet else np.zeros(n)
             self._built = (A, b)
         return self._built
+
+    def _negated(self):
+        """-A as the linear stage takes it: CSR in 2D, chain (diagonal, lo, up) in 1D."""
+        if self._neg is None:
+            A, _ = self.matrix()
+            if self.grid.ndim == 2:
+                self._neg = -A
+            else:
+                p = self.pattern
+                neg = np.append(-A.data, 0.0)
+                self._neg = (neg[p.diag[p.order]], neg[p.lo], neg[p.up])
+        return self._neg
 
 
 @dataclass(eq=False)
@@ -140,90 +137,58 @@ class EllipticProblem:
         return self.f(u) - (A @ self.h(u) + b) - np.asarray(self.rhs, float).ravel()
 
 
-def _solve_cyclic_tridiagonal(d, lo, up, b):
-    """Solve the cyclic tridiagonal system along one periodic chain.
+def _solve_cyclic_tridiagonal(d, lo, up, b, first, last):
+    """Solve tridiagonal chains laid end to end, the tail of them closed into cycles.
 
-    ``lo[p]`` couples to p-1 (wrapping at p = 0), ``up[p]`` to p+1 (wrapping
-    at p = m-1).  Rank-one correction of an ordinary tridiagonal solve.
+    ``lo[p]`` couples position p to p-1 and ``up[p]`` to p+1; both are 0 at
+    the ends of an open chain.  Cycle j runs over positions first[j]..last[j],
+    the cycles fill the tail of the layout, and at a cycle's ends ``lo`` and
+    ``up`` couple its first and last positions to each other.  One
+    tridiagonal solve with a second right-hand side gives each cycle the
+    rank-one correction that closes it.
     """
-    m = d.size
-    if m <= 3:
-        M = np.zeros((m, m))
-        M[np.arange(m), np.arange(m)] = d
-        for p in range(m):
-            M[p, (p + 1) % m] += up[p]
-            M[p, (p - 1) % m] += lo[p]
-        return np.linalg.solve(M, b)
-    beta, gamma = lo[0], up[-1]
-    sigma = -d[0]
+    beta, gamma = lo[first], up[last]
+    sigma = -d[first]
     dt = d.copy()
-    dt[0] -= sigma
-    dt[-1] -= gamma * beta / sigma
-    ab = np.zeros((3, m))
-    ab[0, 1:] = up[:-1]
-    ab[1] = dt
-    ab[2, :-1] = lo[1:]
-    rhs = np.zeros((m, 2))
+    dt[first] -= sigma
+    dt[last] -= gamma * beta / sigma
+    lo, up = lo.copy(), up.copy()
+    lo[first] = 0.0
+    up[last] = 0.0
+    rhs = np.zeros((d.size, 2))
     rhs[:, 0] = b
-    rhs[0, 1] = sigma
-    rhs[-1, 1] = gamma
-    sol = solve_banded((1, 1), ab, rhs)
+    rhs[first, 1] = sigma
+    rhs[last, 1] = gamma
+    *_, sol, info = dgtsv(lo[1:], dt, up[:-1], rhs, overwrite_d=1, overwrite_b=1)
+    if info != 0:
+        raise LinearSolveError("tridiagonal solve hit a zero pivot", info, d)
     y, z = sol[:, 0], sol[:, 1]
     frac = beta / sigma
-    return y - z * ((y[0] + frac * y[-1]) / (1.0 + z[0] + frac * z[-1]))
-
-
-def _symmetrized(op: DiffusionOperator, fp, hp):
-    """Matrix of [diag(fp/hp) - A]; x = that system's solution gives delta = x/hp."""
-    A, _ = op.matrix()
-    return sp.diags(fp / hp) - A
+    scale = (y[first] + frac * y[last]) / (1.0 + z[first] + frac * z[last])
+    sizes = last - first + 1
+    tail = d.size - sizes.sum()
+    y[tail:] -= z[tail:] * np.repeat(scale, sizes)
+    return y
 
 
 def _solve_linear(op: DiffusionOperator, fp, hp, b, cg_rtol: float):
     """Solve [diag(fp) - A diag(hp)] delta = b through the symmetrized form."""
-    grid = op.grid
-    n = grid.size
-    if grid.ndim == 2:
-        S = _symmetrized(op, fp, hp).tocsr()
-        precond = sp.diags(1.0 / S.diagonal())
-        x, info = cg(S, b, rtol=cg_rtol, atol=0.0, M=precond)
+    p = op.pattern
+    d = fp / hp
+    if op.grid.ndim == 2:
+        S = op._negated().copy()
+        S.data[p.diag] += d
+        diag = S.data[p.diag]
+        x, info = cg(S, b, rtol=cg_rtol, atol=0.0, M=sp.diags(1.0 / diag))
         if info != 0:
-            raise RuntimeError(f"inner pressure solve stalled (cg info={info})")
+            raise LinearSolveError("inner pressure solve stalled in cg", info, diag)
         return x / hp
-
-    periodic = all(isinstance(bc, Periodic) for bc in grid.bc_x)
-    strides = {abs(int(off)) for off, _ in op.terms}
-    if periodic and len(strides) == 1 and n >= 8:
-        s = strides.pop()
-        d = fp / hp
-        up = np.zeros(n)
-        lo = np.zeros(n)
-        for off, w in op.terms:
-            wf = np.asarray(w, dtype=float).ravel()
-            d = d + wf
-            if off > 0:
-                up -= wf
-            else:
-                lo -= wf
-        x = np.empty(n)
-        for k in range(gcd(s, n)):
-            idx = (k + s * np.arange(n // gcd(s, n))) % n
-            x[idx] = _solve_cyclic_tridiagonal(d[idx], lo[idx], up[idx], b[idx])
-        return x / hp
-
-    S = _symmetrized(op, fp, hp).tocsr()
-    if periodic:
-        # mixed strides wrap outside any band; rare, handled directly
-        return splu(S.tocsc()).solve(b) / hp
-    bw = max(strides)
-    ab = np.zeros((2 * bw + 1, n))
-    for k in range(-bw, bw + 1):
-        diagk = S.diagonal(k)
-        if k >= 0:
-            ab[bw - k, k:] = diagk
-        else:
-            ab[bw - k, : n + k] = diagk
-    return solve_banded((bw, bw), ab, b) / hp
+    dn, lo, up = op._negated()
+    x = np.empty_like(d)
+    x[p.order] = _solve_cyclic_tridiagonal(
+        dn + d[p.order], lo, up, b[p.order], p.first, p.last
+    )
+    return x / hp
 
 
 def _check_diagonal_dominance(problem: EllipticProblem, fp, hp):

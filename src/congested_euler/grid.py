@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components, depth_first_order
 
 LEFT, RIGHT, BOTTOM, TOP = range(4)
 
@@ -97,6 +99,30 @@ class GhostMap:
     sign_q2: np.ndarray
 
 
+@dataclass(frozen=True)
+class StencilPattern:
+    """CSR structure of sum_k w_k (g_{c+o_k} - g_c) for one stencil on one grid.
+
+    The data are ``np.bincount(scatter, weights)`` minus its last (spare)
+    slot, for the weights laid out term by term as (w_k, -w_k); ``diag``
+    holds the diagonal slots.  In 1D every cell has at most two neighbours:
+    ``order`` lists the cells path by path, then cycle by cycle, ``lo``/``up``
+    are the slots coupling each position to the previous/next one of its
+    chain (the spare slot at path ends), and cycle j runs over positions
+    first[j]..last[j].
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    scatter: np.ndarray
+    diag: np.ndarray
+    order: np.ndarray | None = None
+    lo: np.ndarray | None = None
+    up: np.ndarray | None = None
+    first: np.ndarray | None = None
+    last: np.ndarray | None = None
+
+
 @dataclass(eq=False)
 class Grid:
     nx: int
@@ -104,6 +130,7 @@ class Grid:
     ny: int | None = None
     bc_y: tuple | None = None
     _ghost_maps: dict = field(default_factory=dict, repr=False, compare=False)
+    _patterns: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.nx < 1:
@@ -173,6 +200,11 @@ class Grid:
             self._ghost_maps[width] = gm
         return gm
 
+    def stencil_pattern(self, width: int, offsets: tuple) -> StencilPattern:
+        if (width, offsets) not in self._patterns:
+            self._patterns[width, offsets] = _build_pattern(self, width, offsets)
+        return self._patterns[width, offsets]
+
     def _build_ghost_map(self, w: int) -> GhostMap:
         if self.ndim == 1:
             n = self.nx
@@ -204,6 +236,67 @@ class Grid:
                 sq1[kj, ki] = sx
                 sq2[kj, ki] = sy
         return GhostMap(w, src, sq1, sq2)
+
+
+def _shifted(grid: Grid, padded, width: int, offset):
+    """Interior-shaped view of a padded array displaced by a stencil offset."""
+    if grid.ndim == 1:
+        return padded[width + offset : width + offset + grid.nx]
+    dj, di = offset
+    return padded[
+        width + dj : width + dj + grid.ny, width + di : width + di + grid.nx
+    ]
+
+
+def _build_pattern(grid: Grid, width: int, offsets: tuple) -> StencilPattern:
+    n = grid.size
+    src = grid.ghost_map(width).src
+    nb = np.stack([np.ravel(_shifted(grid, src, width, off)) for off in offsets])
+    inside = nb >= 0
+    cells = np.arange(n)
+    # entry (r, c) has key r * n + c, so sorted keys are CSR order; neighbours
+    # beyond a fixed-state side go to the spare slot
+    keys, slot = np.unique(
+        np.concatenate([cells * (n + 1), (cells * n + nb)[inside]]), return_inverse=True
+    )
+    diag = slot[:n]
+    slots = np.full(nb.shape, keys.size)
+    slots[inside] = slot[n:]
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+    scatter = np.stack([slots, np.broadcast_to(diag, nb.shape)], axis=1).ravel()
+    chains = _chains(keys, n) if grid.ndim == 1 else {}
+    return StencilPattern(indptr, (keys % n).astype(np.int32), scatter, diag, **chains)
+
+
+def _chains(keys, n: int) -> dict:
+    """Chain fields of a 1D :class:`StencilPattern` from its sorted entry keys."""
+    rows, cols = np.divmod(keys, n)
+    off = rows != cols
+    graph = sp.csr_matrix((np.ones(off.sum()), (rows[off], cols[off])), shape=(n, n))
+    deg = np.diff(graph.indptr)
+    if deg.max(initial=0) > 2:
+        raise ValueError("a cell of a 1D stencil has more than two neighbours")
+    _, label = connected_components(graph, directed=False)
+    # a depth-first walk from an end traverses a path, from any cell a cycle
+    by_chain = np.lexsort((deg, label))
+    heads = by_chain[np.diff(label[by_chain], prepend=-1) != 0]
+    heads = heads[np.argsort(deg[heads] == 2, kind="stable")]
+    order = np.concatenate([
+        depth_first_order(graph, h, directed=False, return_predecessors=False) for h in heads
+    ])
+    end = np.cumsum(np.bincount(label)[label[heads]]) - 1
+    start = np.append(0, end[:-1] + 1)
+    cyclic = deg[heads] == 2
+    first, last = start[cyclic], end[cyclic]
+    nxt, prv = np.roll(order, -1), np.roll(order, 1)
+    nxt[end], prv[start] = -1, -1
+    nxt[last], prv[first] = order[first], order[last]
+
+    def slot(b):
+        return np.where(b >= 0, np.searchsorted(keys, order * n + b), keys.size)
+
+    return dict(order=order, lo=slot(prv), up=slot(nxt), first=first, last=last)
 
 
 def pad_field(grid: Grid, values, width: int, kind: str = "scalar", dirichlet=None):

@@ -119,16 +119,17 @@ def rarefaction_velocity(Z, hat: PrimState, law: PressureLaw, family: int,
     _, dP = _pressure_pair(law, include_singular)
     rstar = hat.rho_star
 
-    def dv_ds(s):
-        return np.sqrt(dP(s) / rstar) / s
+    # dv = sqrt(P'(s) / rho*) / s ds grows like s^((gamma - 3) / 2) at s = 0;
+    # in t = sqrt(s) it is t^(gamma - 2), bounded for gamma >= 2.
+    def dv_dt(t):
+        return 2.0 * np.sqrt(dP(t * t) / rstar) / t
 
     # Near-machine tolerances trip quad's roundoff warning while its result
     # is still good; keep the estimate but fail loudly if it really is bad.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
-        val, err = quad(dv_ds, hat.Z, Z, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200)
-    # The estimate is conservative near the integrable endpoint singularity
-    # at s = 0; only refuse results that are genuinely unreliable.
+        val, err = quad(dv_dt, np.sqrt(hat.Z), np.sqrt(Z), epsabs=_QUAD_TOL,
+                        epsrel=_QUAD_TOL, limit=200)
     if err > 1e-7 * max(1.0, abs(val)):
         raise RuntimeError(f"integral-curve quadrature error estimate {err:.3e}")
     return hat.v + _family_sign(family) * val

@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import scheme_conservative, scheme_semilag
+from .elliptic import LinearSolveError, NewtonError
 from .grid import (
     Dirichlet,
     Grid,
@@ -23,7 +24,7 @@ from .grid import (
     Wall,
     total_mass,
 )
-from .pressure import PressureLaw
+from .pressure import DomainError, PressureLaw
 from .riemann import PrimState
 from .scheme_semilag import RelaxationConfig, SemiLagConfig, relaxation_update
 
@@ -279,7 +280,7 @@ def run_scenario(s: Scenario) -> ScenarioResult:
                 slcfg=slcfg,
                 relaxation=relaxation,
             )
-        except Exception as exc:
+        except (NewtonError, LinearSolveError, DomainError) as exc:
             raise ScenarioError(
                 k, t_prev, f"step {k} failed at t={t_prev:.6g}: {exc}"
             ) from exc

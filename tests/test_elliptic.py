@@ -1,14 +1,25 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from congested_euler.elliptic import (
     DiffusionOperator,
     EllipticProblem,
+    LinearSolveError,
     NewtonError,
     _solve_cyclic_tridiagonal,
+    _solve_linear,
     solve_newton,
 )
-from congested_euler.grid import Dirichlet, Grid, OutflowWindow, Periodic, Wall, pad_field
+from congested_euler.grid import (
+    Dirichlet,
+    Grid,
+    OutflowWindow,
+    Periodic,
+    Wall,
+    _shifted,
+    pad_field,
+)
 from congested_euler.pressure import (
     PressureLaw,
     inverse_slope_floor,
@@ -59,7 +70,27 @@ GRID_CASES = [
     Grid(nx=8, ny=6),
     Grid(nx=8, ny=6, bc_x=(Wall(), Wall()), bc_y=(OutflowWindow(0.3, 0.7), Wall())),
     Grid(nx=8, ny=6, bc_x=(Dirichlet(rho=1.0, q1=0.0, Z=0.5),) * 2),
+    Grid(nx=4),  # periodic: two stride-2 pairs, each a two-cell path
+    Grid(nx=6),  # periodic: two three-cell cycles
+    Grid(nx=7),  # periodic: one cycle
+    Grid(nx=9, bc_x=(Wall(), Wall())),  # odd: still one ring
+    Grid(nx=9, bc_x=(Dirichlet(rho=0.7, q1=0.8, Z=0.5), Dirichlet(rho=0.9, q1=0.0, Z=0.6))),
 ]
+
+# (path lengths, cycle lengths) of the stride-2 chains of each 1D case
+CHAIN_SHAPES = {
+    0: ([], [6, 6]),
+    1: ([], [13]),
+    2: ([], [10]),  # ring 0-2-4-6-8-9-7-5-3-1
+    3: ([10], []),
+    7: ([2, 2], []),
+    8: ([], [3, 3]),
+    9: ([], [7]),
+    10: ([], [9]),
+    11: ([5, 4], []),
+}
+
+LAPLACIAN_GRIDS = (Grid(nx=11), Grid(nx=9, bc_x=(Wall(), Wall())), Grid(nx=6, ny=5))
 
 
 def make_operator(grid, scale=0.3):
@@ -105,8 +136,84 @@ def test_linear_solves_match_dense_oracle(grid):
     np.testing.assert_allclose(u.ravel(), dense, rtol=0, atol=1e-11)
 
 
+def coo_matrix_reference(op):
+    """(A, b) of ``op`` assembled from scratch, term by term, through COO."""
+    grid, n = op.grid, op.grid.size
+    gm = grid.ghost_map(op.width)
+    rows, cols, vals = [], [], []
+    b = np.zeros(n)
+    c = np.arange(n)
+    for off, w in op.terms:
+        wf = np.asarray(w, dtype=float).ravel()
+        nb = np.asarray(_shifted(grid, gm.src, op.width, off)).ravel()
+        inside = nb >= 0
+        rows += [c[inside], c]
+        cols += [nb[inside], c]
+        vals += [wf[inside], -wf]
+        if not inside.all():
+            b[c[~inside]] += wf[~inside] * np.asarray(op.g_boundary)[-1 - nb[~inside]]
+    A = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+    )
+    return A.toarray(), b
+
+
+def reference_cases():
+    """Two operators with different weights on each test grid."""
+    for grid in GRID_CASES:
+        yield grid, [make_operator(grid), make_operator(grid, scale=0.7)]
+    for grid in LAPLACIAN_GRIDS:
+        yield grid, [DiffusionOperator(grid, 1, laplacian_terms(grid, s)) for s in (0.7, 0.2)]
+
+
+def test_pattern_assembly_matches_coo_reference():
+    for grid, ops in reference_cases():
+        assert ops[0].pattern is ops[1].pattern
+        for op in ops:
+            A, b = op.matrix()
+            A_ref, b_ref = coo_matrix_reference(op)
+            np.testing.assert_allclose(A.toarray(), A_ref, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(b, b_ref, rtol=0, atol=1e-15)
+
+
+def test_linear_solve_with_varying_diagonal_matches_dense():
+    for grid, ops in reference_cases():
+        for op in ops:
+            A, _ = op.matrix()
+            fp = 0.5 + RNG.random(grid.size)
+            hp = 0.5 + RNG.random(grid.size)
+            b = RNG.standard_normal(grid.size)
+            x = _solve_linear(op, fp, hp, b, cg_rtol=1e-14)
+            dense = np.diag(fp) - A.toarray() @ np.diag(hp)
+            np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=0, atol=1e-11)
+
+
+def test_cg_stall_raises_linear_solve_error(monkeypatch):
+    import congested_euler.elliptic as elliptic
+
+    monkeypatch.setattr(elliptic, "cg", lambda S, b, **kw: (np.zeros_like(b), 7))
+    op = make_operator(GRID_CASES[4])
+    A, _ = op.matrix()
+    fp = np.linspace(1.0, 2.0, op.grid.size)
+    with pytest.raises(LinearSolveError) as err:
+        _solve_linear(op, fp, np.ones_like(fp), np.ones_like(fp), cg_rtol=1e-13)
+    diag = fp - A.diagonal()
+    assert err.value.info == 7
+    assert (err.value.diag_min, err.value.diag_max) == (diag.min(), diag.max())
+
+
+@pytest.mark.parametrize("case", sorted(CHAIN_SHAPES))
+def test_chain_shapes(case):
+    p = make_operator(GRID_CASES[case]).pattern
+    path_starts = np.flatnonzero(p.lo == p.indices.size)  # no previous cell: the spare slot
+    cycles_start = p.first[0] if p.first.size else p.order.size
+    paths = np.diff(np.append(path_starts, cycles_start))
+    assert (paths.tolist(), (p.last - p.first + 1).tolist()) == CHAIN_SHAPES[case]
+    assert sorted(p.order.tolist()) == list(range(GRID_CASES[case].size))
+
+
 def test_laplacian_form_linear_solve():
-    for grid in (Grid(nx=11), Grid(nx=9, bc_x=(Wall(), Wall())), Grid(nx=6, ny=5)):
+    for grid in LAPLACIAN_GRIDS:
         op = DiffusionOperator(grid, 1, laplacian_terms(grid, 0.7))
         A, b = op.matrix()
         u_exact = RNG.random(grid.size)
@@ -117,17 +224,26 @@ def test_laplacian_form_linear_solve():
 
 
 def test_cyclic_tridiagonal_matches_dense():
-    for m in (2, 3, 4, 9, 17):
+    # single cycles, then open chains followed by cycles in one layout
+    for paths, cycles in [([], [m]) for m in (2, 3, 4, 9, 17)] + [([3, 1], [4, 3, 2])]:
+        m = sum(paths) + sum(cycles)
         d = 2.0 + RNG.random(m)
         lo = -RNG.random(m) * 0.5
         up = -RNG.random(m) * 0.5
         b = RNG.standard_normal(m)
         M = np.zeros((m, m))
         M[np.arange(m), np.arange(m)] = d
-        for p in range(m):
-            M[p, (p + 1) % m] += up[p]
-            M[p, (p - 1) % m] += lo[p]
-        x = _solve_cyclic_tridiagonal(d, lo, up, b)
+        start = 0
+        for size, closed in [(k, False) for k in paths] + [(k, True) for k in cycles]:
+            lo[start] *= closed
+            up[start + size - 1] *= closed
+            for p in range(size):
+                M[start + p, start + (p + 1) % size] += up[start + p]
+                M[start + p, start + (p - 1) % size] += lo[start + p]
+            start += size
+        first = np.cumsum([sum(paths)] + cycles[:-1])
+        last = first + np.array(cycles) - 1
+        x = _solve_cyclic_tridiagonal(d, lo, up, b, first, last)
         np.testing.assert_allclose(x, np.linalg.solve(M, b), rtol=0, atol=1e-12)
 
 

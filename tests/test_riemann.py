@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from congested_euler.pressure import PressureLaw, eigenvalues, total_pressure_deriv
@@ -204,6 +204,9 @@ states = st.builds(
 
 @settings(max_examples=25, deadline=None)
 @given(states, states)
+# the left rarefaction reaches down to small Z, near the s^(-1/2) singularity
+# of the integral curve's integrand
+@example(PrimState(rho=0.625, v=0.0, Z=0.75), PrimState(rho=0.5, v=0.5, Z=0.125))
 def test_random_fans_are_consistent(left, right):
     try:
         fan = solve_riemann(left, right, LAW2, scan_intervals=16)

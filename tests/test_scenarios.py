@@ -268,6 +268,15 @@ def test_run_scenario_reports_failing_step(monkeypatch):
     assert isinstance(err.value.__cause__, NewtonError)
 
 
+def test_run_scenario_lets_programming_errors_through(monkeypatch):
+    def broken(grid, state, dt, law, **kw):
+        raise TypeError("not a numerical failure")
+
+    monkeypatch.setitem(scenarios._STEPPERS, "zq", broken)
+    with pytest.raises(TypeError):
+        scenarios.run_scenario(Scenario(kind="smooth1d", nx=16, t_end=0.1))
+
+
 def test_run_scenario_evacuation_drains_mass():
     s = Scenario(kind="evacuate2d", nx=24, t_end=0.2, epsilon=1e-2, scheme="sl")
     res = scenarios.run_scenario(s)
