@@ -119,12 +119,10 @@ class DiffusionOperator:
 class EllipticProblem:
     """f(u) - L h(u) = rhs over the interior cells.
 
-    ``kind`` labels the variable: "pi" (pressure unknown, h = identity) or
-    "rho" (density unknown, f = identity); it only steers diagnostics, the
-    solve itself is generic.  All callables act elementwise on flat arrays.
+    The pressure unknown has h = identity, the density unknown f = identity.
+    All callables act elementwise on flat arrays.
     """
 
-    kind: str
     op: DiffusionOperator
     rhs: np.ndarray
     f: Callable
@@ -194,7 +192,8 @@ def _solve_linear(op: DiffusionOperator, fp, hp, b, cg_rtol: float):
 def _check_diagonal_dominance(problem: EllipticProblem, fp, hp):
     A, _ = problem.op.matrix()
     J = (sp.diags(fp) - A @ sp.diags(hp)).tocsr()
-    M = J if problem.kind == "pi" else J.T.tocsr()
+    # rows when h is the identity, columns when it scales them
+    M = J if np.all(hp == 1.0) else J.T.tocsr()
     diag = M.diagonal()
     offsum = np.asarray(abs(M).sum(axis=1)).ravel() - np.abs(diag)
     slack = 1e-12 * np.maximum(1.0, np.abs(diag))

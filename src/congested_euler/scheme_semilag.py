@@ -1,11 +1,12 @@
 """Density-variable scheme with semi-Lagrangian congestion transport.
 
-The finite-volume stage advances (rho, q) only: substituting the momentum
-update into the mass update condenses the implicit congestion pressure into
-one elliptic solve whose unknown is the new density, with the capacity field
-rho_star frozen for the stage.  rho_star itself moves along characteristics:
-each cell traces its foot backward through the velocity field and reads the
-old field through Lagrange interpolation on 2r + 2 neighboring nodes.
+The finite-volume stage advances (rho, q) only, through the condensed stage
+of :mod:`scheme_conservative`: this scheme condenses rho against the capacity
+field rho_star frozen for the stage, solves for the new density with the
+congestion pressure pi(rho / rho_star) as the nonlinear map, and projects the
+density below rho_star.  rho_star itself moves along characteristics: each
+cell traces its foot backward through the velocity field and reads the old
+field through Lagrange interpolation on 2r + 2 neighboring nodes.
 
 Second order combines MUSCL fluxes, a midpoint predictor with a
 time-averaged pressure corrector, and Strang splitting that advects
@@ -20,13 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from congested_euler.elliptic import DiffusionOperator, EllipticProblem, _shifted, solve_newton
-from congested_euler.fluxes import (
-    div_from_faces,
-    face_states,
-    max_wave_speed,
-    rusanov_flux,
-)
+from congested_euler.elliptic import EllipticProblem, solve_newton
 from congested_euler.grid import (
     Dirichlet,
     Grid,
@@ -35,19 +30,12 @@ from congested_euler.grid import (
     dirichlet_values,
     pad_field,
 )
-from congested_euler.pressure import (
-    background_pressure,
-    singular_pressure,
-    singular_pressure_deriv,
-)
+from congested_euler.pressure import singular_pressure, singular_pressure_deriv
 from congested_euler.scheme_conservative import (
     DENSITY_FLOOR,
-    GHOST_WIDTH,
     StepInfo,
     SubstepResult,
-    _axes,
-    _offset,
-    _pi_boundary,
+    _stage,
 )
 
 # Newton iterates and the projected density stay below this fraction of
@@ -198,31 +186,6 @@ def semilag_advect(rho_star, velocity, dt: float, grid: Grid, cfg: SemiLagConfig
     return out
 
 
-def lagrange_interpolate(values, x, grid: Grid, r: int):
-    """Interpolate nodal samples of a one-dimensional grid at position x.
-
-    Fixed-state sides extend with the edge sample; periodic sides wrap.
-    """
-    if grid.ndim != 1:
-        raise ValueError("point queries are defined on one-dimensional grids")
-    values = np.asarray(values, dtype=float)
-    W = r + 1
-    if any(not isinstance(bc, Periodic) for bc in grid.bc_x):
-        gm = grid.ghost_map(W)
-        pad = values[np.clip(gm.src, 0, None)]
-        fixed = gm.src < 0
-        if fixed.any():
-            edge = np.array([values[0], values[-1]])
-            pad[fixed] = edge[-1 - gm.src[fixed]]
-    else:
-        pad = pad_field(grid, values, W, "scalar")
-    u = np.asarray(x, dtype=float) / grid.dx - 0.5
-    base, theta = _foot_base(u, grid.nx, grid.bc_x)
-    weights = _lagrange_weights(theta, r)
-    out = sum(wk * pad[base + (k - r) + W] for k, wk in enumerate(weights))
-    return float(out) if np.ndim(x) == 0 else out
-
-
 def _project_density(rho, rho_star):
     """Clip into [floor, (1 - guard) rho_star]; returns (field, clamp count)."""
     ceiling = (1.0 - CONGESTION_GUARD) * np.asarray(rho_star, dtype=float)
@@ -242,61 +205,6 @@ def _fv_substep(grid, state_init, state_flux, rho_star, dt, law, mode, *, order,
     if mode not in ("implicit", "semi"):
         raise ValueError(f"unknown substep mode {mode!r}")
     w_new = 1.0 if mode == "implicit" else 0.5
-    W = GHOST_WIDTH
-    two_d = grid.ndim == 2
-
-    rho_p = state_flux.padded(grid, "rho", W)
-    Z_p = state_flux.padded(grid, "Z", W)
-    mom_p = {"q1": state_flux.padded(grid, "q1", W)}
-    if two_d:
-        mom_p["q2"] = state_flux.padded(grid, "q2", W)
-
-    div_q = {name: np.zeros(grid.shape) for name in mom_p}
-    div_d_rho = np.zeros(grid.shape)
-    max_speed = 0.0
-    for axis, h, qn in _axes(grid):
-        rl, rr = face_states(rho_p, W, axis, order)
-        zl, zr = face_states(Z_p, W, axis, order)
-        ql, qr = face_states(mom_p[qn], W, axis, order)
-        c = np.maximum(
-            max_wave_speed(rl, ql, zl, law), max_wave_speed(rr, qr, zr, law)
-        )
-        max_speed = max(max_speed, float(c.max()))
-        gl = ql * ql / rl + background_pressure(zl, law)
-        gr = qr * qr / rr + background_pressure(zr, law)
-        div_q[qn] += div_from_faces(rusanov_flux(gl, gr, c, ql, qr), axis, h)
-        if two_d:
-            qt = "q2" if qn == "q1" else "q1"
-            tl, tr = face_states(mom_p[qt], W, axis, order)
-            flux_t = rusanov_flux(ql * tl / rl, qr * tr / rr, c, tl, tr)
-            div_q[qt] += div_from_faces(flux_t, axis, h)
-        div_d_rho += div_from_faces(-0.5 * c * (rr - rl), axis, h)
-
-    mt = {name: getattr(state_init, name) - dt * div_q[name] for name in div_q}
-    dvals = {
-        name: dirichlet_values(grid, name) if grid.has_dirichlet else None
-        for name in mt
-    }
-
-    # Mass update with the central flux eliminated through the momentum
-    # update: phi stays explicit and the new pressure enters through a
-    # second difference with factor w_new dt^2 / (4 h^2).
-    phi = state_init.rho - dt * div_d_rho
-    terms = []
-    for axis, h, qn in _axes(grid):
-        r = (1.0 - w_new) * getattr(state_init, qn) + w_new * mt[qn]
-        r_p = pad_field(grid, r, W, qn, dvals[qn])
-        east = _offset(grid, axis, 1)
-        west = _offset(grid, axis, -1)
-        phi -= dt * (
-            _shifted(grid, r_p, W, east) - _shifted(grid, r_p, W, west)
-        ) / (2.0 * h)
-        s = w_new * dt * dt / (4.0 * h * h)
-        terms.append((_offset(grid, axis, 2), np.full(grid.shape, s)))
-        terms.append((_offset(grid, axis, -2), np.full(grid.shape, s)))
-
-    pi_b = _pi_boundary(grid, law)
-    op = DiffusionOperator(grid, W, terms, g_boundary=pi_b)
     rs = np.asarray(rho_star, dtype=float).ravel()
     ceiling = (1.0 - CONGESTION_GUARD) * rs
     if mode == "implicit":
@@ -308,34 +216,28 @@ def _fv_substep(grid, state_init, state_flux, rho_star, dt, law, mode, *, order,
         )
         pmap = lambda u: 0.5 * (po + singular_pressure(u / rs, law))
         dpmap = lambda u: 0.5 * singular_pressure_deriv(u / rs, law) / rs
-    problem = EllipticProblem(
-        kind="rho",
-        op=op,
-        rhs=phi,
-        f=lambda u: u,
-        fprime=lambda u: np.ones_like(u),
-        h=pmap,
-        hprime=dpmap,
-    )
-    rho_u, report = solve_newton(
-        problem, state_flux.rho, lower=DENSITY_FLOOR, upper=ceiling, cg_rtol=cg_rtol
-    )
-    Pi = pmap(rho_u.ravel()).reshape(grid.shape)
 
-    Pi_p = pad_field(grid, Pi, W, "scalar", pi_b)
-    q_new = {}
-    for axis, h, qn in _axes(grid):
-        grad = (
-            _shifted(grid, Pi_p, W, _offset(grid, axis, 1))
-            - _shifted(grid, Pi_p, W, _offset(grid, axis, -1))
-        ) / (2.0 * h)
-        q_new[qn] = mt[qn] - dt * grad
+    def solve(op, phi):
+        problem = EllipticProblem(
+            op=op,
+            rhs=phi,
+            f=lambda u: u,
+            fprime=lambda u: np.ones_like(u),
+            h=pmap,
+            hprime=dpmap,
+        )
+        rho_u, report = solve_newton(
+            problem, state_flux.rho, lower=DENSITY_FLOOR, upper=ceiling,
+            cg_rtol=cg_rtol,
+        )
+        return pmap(rho_u.ravel()).reshape(grid.shape), report
 
-    # The condensed form telescopes exactly, so total mass is conserved to
-    # rounding regardless of the Newton stopping residual.
-    rho_new = phi + op.apply(Pi)
-    rs_field = np.asarray(rho_star, dtype=float).reshape(grid.shape)
-    rho_new, clamps = _project_density(rho_new, rs_field)
+    new, q_new, Pi, report, max_speed = _stage(
+        grid, state_init, state_flux, dt, w_new, law,
+        order=order, masses=("rho",), solve=solve,
+    )
+    rs_field = rs.reshape(grid.shape)
+    rho_new, clamps = _project_density(new["rho"], rs_field)
     state = GridState(
         rho=rho_new,
         q1=q_new["q1"],

@@ -58,8 +58,7 @@ def laplacian_terms(grid, scale):
 def identity_problem(op, rhs):
     one = lambda u: np.ones_like(u)
     ident = lambda u: u
-    return EllipticProblem(kind="pi", op=op, rhs=rhs, f=ident, fprime=one,
-                           h=ident, hprime=one)
+    return EllipticProblem(op=op, rhs=rhs, f=ident, fprime=one, h=ident, hprime=one)
 
 
 GRID_CASES = [
@@ -250,7 +249,6 @@ def test_cyclic_tridiagonal_matches_dense():
 def pressure_problem(grid, op, rhs, law=LAW):
     floor = inverse_slope_floor(law)
     return EllipticProblem(
-        kind="pi",
         op=op,
         rhs=rhs,
         f=lambda u: singular_pressure_inverse(u, law),
@@ -297,7 +295,6 @@ def test_density_form_manufactured_solution():
         rho_exact = 0.3 + 0.6 * RNG.random(grid.size)
         rhs = rho_exact - (A @ singular_pressure(rho_exact / rho_star, LAW) + b)
         problem = EllipticProblem(
-            kind="rho",
             op=op,
             rhs=rhs,
             f=lambda u: u,
@@ -372,7 +369,7 @@ def test_dominance_check_flags_degenerate_diagonal():
     a = np.ones(8)
     op = DiffusionOperator(grid, 2, stride2_terms(grid, a, 0.3))
     problem = EllipticProblem(
-        kind="pi", op=op, rhs=np.zeros(8),
+        op=op, rhs=np.zeros(8),
         f=lambda u: u, fprime=lambda u: np.full_like(u, -0.5),  # wrong-signed slope
         h=lambda u: u, hprime=lambda u: np.ones_like(u),
     )

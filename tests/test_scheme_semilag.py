@@ -17,6 +17,7 @@ from congested_euler.grid import (
     Dirichlet,
     Grid,
     GridState,
+    OutflowWindow,
     Wall,
     l1_error,
     total_mass,
@@ -41,39 +42,45 @@ def smooth_state(grid, base_rho=0.6, amp=0.2, rho_star=None):
 
 
 def test_lagrange_nodal_queries_return_nodal_values():
+    # whole-cell shifts at unit velocity put every foot on a node
     grid = Grid(nx=16)
     rng = np.random.default_rng(3)
     values = 0.5 + rng.random(16)
+    v = np.ones(16)
     for r in (0, 1):
-        for i in (0, 5, 15):
-            x = (i + 0.5) * grid.dx
-            assert sl.lagrange_interpolate(values, x, grid, r) == pytest.approx(
-                values[i], abs=1e-15
-            )
+        cfg = sl.SemiLagConfig(r=r, time_order=1)
+        for k in (1, 5):
+            out = sl.semilag_advect(values, v, k * grid.dx, grid, cfg)
+            for i in (0, 5, 15):
+                assert out[i] == pytest.approx(values[(i - k) % 16], abs=1e-15)
 
 
 def test_lagrange_r1_reproduces_cubics():
     grid = Grid(nx=32)
     xs = grid.centers_x
     poly = lambda x: 2.0 - x + 3.0 * x**2 - 1.5 * x**3
-    values = poly(xs)
-    for x in (0.213, 0.5, 0.731, 0.462):
-        got = sl.lagrange_interpolate(values, x, grid, r=1)
-        assert got == pytest.approx(poly(x), abs=1e-12)
+    cfg = sl.SemiLagConfig(r=1, time_order=1)
+    for shift in (0.213, 0.5, 0.731):
+        dt = shift * grid.dx
+        got = sl.semilag_advect(poly(xs), np.ones(32), dt, grid, cfg)
+        # periodic wrap breaks the polynomial at the seam; check inside
+        np.testing.assert_allclose(got[3:-3], poly(xs - dt)[3:-3], rtol=0, atol=1e-12)
 
 
 def test_lagrange_r0_linear_exact_quadratic_second_order():
     # Linear interpolation of x^2 at the midpoint of a cell pair errs by
     # exactly theta (1 - theta) dx^2 = dx^2 / 4.
+    cfg = sl.SemiLagConfig(r=0, time_order=1)
     for n in (32, 64):
         grid = Grid(nx=n)
-        values = grid.centers_x**2
-        lin = 0.7 - 0.3 * grid.centers_x
-        x_mid = 10.0 / 32.0  # theta = 1/2 on both grids
-        err = abs(sl.lagrange_interpolate(values, x_mid, grid, r=0) - x_mid**2)
-        assert err == pytest.approx(0.25 * grid.dx**2, rel=1e-12)
-        got = sl.lagrange_interpolate(lin, x_mid, grid, r=0)
-        assert got == pytest.approx(0.7 - 0.3 * x_mid, abs=1e-14)
+        xs = grid.centers_x
+        dt = 0.5 * grid.dx  # theta = 1/2 at unit velocity
+        x_mid = (xs - dt)[3:-3]
+        v = np.ones(n)
+        err = np.abs(sl.semilag_advect(xs**2, v, dt, grid, cfg)[3:-3] - x_mid**2)
+        np.testing.assert_allclose(err, 0.25 * grid.dx**2, rtol=1e-12, atol=0)
+        got = sl.semilag_advect(0.7 - 0.3 * xs, v, dt, grid, cfg)[3:-3]
+        np.testing.assert_allclose(got, 0.7 - 0.3 * x_mid, rtol=0, atol=1e-14)
 
 
 def test_semilag_zero_velocity_is_identity():
@@ -280,6 +287,38 @@ def test_corrector_uses_distinct_flux_state():
     rho_o, q_o = roll_fv_substep(grid, state, half.state, dt, LAW, res.pi, 0.5, 2)
     np.testing.assert_allclose(res.state.rho, rho_o, rtol=0, atol=1e-13)
     np.testing.assert_allclose(res.state.q1, q_o, rtol=0, atol=1e-13)
+
+
+UNIT_CAPACITY_GRIDS = [
+    Grid(nx=24),
+    Grid(nx=24, bc_x=(Wall(), Wall())),
+    Grid(nx=24, bc_x=(Dirichlet(rho=0.5, q1=0.1, Z=0.5), Dirichlet(rho=0.6, q1=0.0, Z=0.6))),
+    Grid(nx=10, ny=8),
+    Grid(nx=10, ny=8, bc_x=(Wall(), Wall()), bc_y=(OutflowWindow(0.3, 0.7), Wall())),
+]
+
+
+@pytest.mark.parametrize("mode", ["implicit", "semi"])
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("grid", UNIT_CAPACITY_GRIDS)
+def test_substeps_of_both_schemes_agree_at_unit_capacity(grid, order, mode):
+    # With rho* = 1 the Z and rho unknowns coincide, so both substeps solve
+    # the same condensed system, boundary ghosts included.
+    rng = np.random.default_rng(17)
+    rho = 0.3 + 0.4 * rng.random(grid.shape)
+    v1 = 0.3 * rng.standard_normal(grid.shape)
+    v2 = 0.3 * rng.standard_normal(grid.shape) if grid.ndim == 2 else None
+    state = GridState.from_primitives(grid, rho, v1, 1.0, v2)
+    dt = 0.1 * grid.dx
+    pi_old = singular_pressure(state.Z, LAW) if mode == "semi" else None
+    a = zq._substep(grid, state, state, dt, LAW, mode, order=order, pi_old=pi_old)
+    b = sl._fv_substep(grid, state, state, state.rho_star, dt, LAW, mode, order=order)
+    for name in ("rho", "q1", "q2", "Z", "rho_star"):
+        got, want = getattr(a.state, name), getattr(b.state, name)
+        if want is None:
+            assert got is None
+            continue
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10, err_msg=name)
 
 
 # ---------------------------------------------------------------- full steps
