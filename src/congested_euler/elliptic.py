@@ -32,6 +32,9 @@ from scipy.sparse.linalg import cg
 
 from congested_euler.grid import Grid, _shifted, pad_field
 
+# relative residual at which the 2D conjugate-gradient inner solve stops
+CG_RTOL = 1e-13
+
 
 @dataclass(frozen=True)
 class NewtonReport:
@@ -169,7 +172,7 @@ def _solve_cyclic_tridiagonal(d, lo, up, b, first, last):
     return y
 
 
-def _solve_linear(op: DiffusionOperator, fp, hp, b, cg_rtol: float):
+def _solve_linear(op: DiffusionOperator, fp, hp, b):
     """Solve [diag(fp) - A diag(hp)] delta = b through the symmetrized form."""
     p = op.pattern
     d = fp / hp
@@ -177,7 +180,7 @@ def _solve_linear(op: DiffusionOperator, fp, hp, b, cg_rtol: float):
         S = op._negated().copy()
         S.data[p.diag] += d
         diag = S.data[p.diag]
-        x, info = cg(S, b, rtol=cg_rtol, atol=0.0, M=sp.diags(1.0 / diag))
+        x, info = cg(S, b, rtol=CG_RTOL, atol=0.0, M=sp.diags(1.0 / diag))
         if info != 0:
             raise LinearSolveError("inner pressure solve stalled in cg", info, diag)
         return x / hp
@@ -216,7 +219,6 @@ def solve_newton(
     upper=None,
     iterate_hook=None,
     debug: bool = False,
-    cg_rtol: float = 1e-13,
 ):
     """Projected Newton iteration on an :class:`EllipticProblem`.
 
@@ -252,7 +254,7 @@ def solve_newton(
         hp = np.asarray(problem.hprime(u), dtype=float).ravel()
         if debug:
             _check_diagonal_dominance(problem, fp, hp)
-        delta = _solve_linear(problem.op, fp, hp, -F, cg_rtol)
+        delta = _solve_linear(problem.op, fp, hp, -F)
         if not np.all(np.isfinite(delta)):
             raise NewtonError("non-finite Newton step", NewtonReport(it, res, False))
         step = 1.0

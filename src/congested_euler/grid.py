@@ -375,6 +375,11 @@ class GridState:
             time=self.time,
         )
 
+    @property
+    def velocity(self) -> tuple:
+        """Velocity components q / rho, one per dimension."""
+        return tuple(q / self.rho for q in (self.q1, self.q2) if q is not None)
+
     def padded(self, grid: Grid, name: str, width: int):
         dvals = dirichlet_values(grid, name) if grid.has_dirichlet else None
         return pad_field(grid, getattr(self, name), width, _FIELD_KIND[name], dvals)

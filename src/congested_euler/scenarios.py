@@ -26,7 +26,8 @@ from .grid import (
 )
 from .pressure import DomainError, PressureLaw
 from .riemann import PrimState
-from .scheme_semilag import RelaxationConfig, SemiLagConfig, relaxation_update
+from .scheme_conservative import RelaxationConfig
+from .scheme_semilag import SemiLagConfig
 
 _KINDS = ("riemann1d", "smooth1d", "collide2d", "evacuate2d")
 _PROFILES = ("constant", "linear", "step", "random")
@@ -211,28 +212,6 @@ class ScenarioError(RuntimeError):
         self.time = time
 
 
-def _step_zq(grid, state, dt, law, *, order, time_order=None, slcfg, relaxation):
-    new, info = scheme_conservative.step(
-        grid, state, dt, law, order=order, time_order=time_order
-    )
-    if relaxation is not None:
-        q = (new.q1,) if grid.ndim == 1 else (new.q1, new.q2)
-        q = relaxation_update(q, new.rho, relaxation, dt)
-        new.q1 = q[0]
-        if grid.ndim == 2:
-            new.q2 = q[1]
-    return new, info
-
-
-def _step_sl(grid, state, dt, law, *, order, time_order=None, slcfg, relaxation):
-    return scheme_semilag.step(
-        grid, state, dt, law, order=order, slcfg=slcfg, relaxation=relaxation
-    )
-
-
-_STEPPERS = {"zq": _step_zq, "sl": _step_sl}
-
-
 @dataclass
 class ScenarioResult:
     scenario: Scenario
@@ -255,9 +234,14 @@ def run_scenario(s: Scenario) -> ScenarioResult:
     grid = build_grid(s)
     state = build_initial_state(s, grid)
     law = s.law
-    slcfg = SemiLagConfig(r=s.sl_r, time_order=2 if s.order == 2 else 1)
-    relaxation = make_relaxation(s, grid)
-    stepper = _STEPPERS[s.scheme]
+    if s.scheme == "zq":
+        scheme, options = scheme_conservative, dict(time_order=s.time_order)
+    else:
+        scheme = scheme_semilag
+        options = dict(slcfg=SemiLagConfig(r=s.sl_r, time_order=s.order))
+    options.update(order=s.order, relaxation=make_relaxation(s, grid))
+    h_min = grid.dx if grid.ndim == 1 else min(grid.dx, grid.dy)
+    cfl = None  # background CFL number of the last completed step
 
     dt0 = resolved_dt(s, grid)
     steps = max(1, math.ceil(s.t_end / dt0 - 1e-9))
@@ -270,20 +254,15 @@ def run_scenario(s: Scenario) -> ScenarioResult:
         t_prev = (k - 1) * dt0
         dt = dt0 if k < steps else s.t_end - (steps - 1) * dt0
         try:
-            state, info = stepper(
-                grid,
-                state,
-                dt,
-                law,
-                order=s.order,
-                time_order=s.time_order,
-                slcfg=slcfg,
-                relaxation=relaxation,
-            )
+            # looked up at call time, so a rebound ``step`` is the one called
+            state, info = scheme.step(grid, state, dt, law, **options)
         except (NewtonError, LinearSolveError, DomainError) as exc:
+            last = "no step completed" if cfl is None else f"{cfl:.3g}"
             raise ScenarioError(
-                k, t_prev, f"step {k} failed at t={t_prev:.6g}: {exc}"
+                k, t_prev, f"step {k} failed at t={t_prev:.6g}: {exc}; "
+                f"background CFL of the last completed step: {last}",
             ) from exc
+        cfl = info.max_speed * dt / h_min
         t = k * dt0 if k < steps else s.t_end
         state.time = t
         newton[k - 1] = info.newton_iterations

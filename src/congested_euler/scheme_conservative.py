@@ -12,11 +12,14 @@ and clamps both masses at a density floor.  Keeping the new pressure
 implicit keeps the admissible time step bounded away from zero as the
 stiffness parameter vanishes.
 
-The second-order variant runs an implicit midpoint predictor and a corrector
-whose unknown is the time-averaged pressure P = (pi_old + pi_new) / 2.  When
-some cell would need pi_new < 0 to balance (congestion releasing into near
-vacuum), a :class:`PressureSwitchTriggered` escape aborts the corrector and
-the step is redone with the fully implicit weighting.
+Both schemes also share one time discretization, :func:`_advance`: one
+implicit substep at first order in time; at second order an implicit midpoint
+predictor and a corrector for the time-averaged pressure P = (pi_old +
+pi_new) / 2, redone with the implicit weighting when some cell would need
+pi_new < 0 (:class:`PressureSwitchTriggered`, congestion releasing into near
+vacuum).  It holds the only relaxation toward a desired velocity, after the
+finite-volume stage, and builds the :class:`StepInfo`.  Each ``step`` checks
+its orders and supplies the substep; here :func:`_substep` with pi_old = p(Z).
 """
 
 from __future__ import annotations
@@ -83,6 +86,40 @@ class SubstepResult:
     report: object
     clamps: int
     max_speed: float
+
+
+@dataclass(frozen=True)
+class RelaxationConfig:
+    """Relaxation time beta and unit desired-velocity components."""
+
+    beta: float
+    w: tuple
+
+    @classmethod
+    def toward_exit(cls, grid: Grid, beta: float, center=(0.5, 0.0)):
+        """Unit field pointing at ``center``; zero at the singular point."""
+        if grid.ndim == 1:
+            d1 = grid.centers_x - center[0]
+            norm = np.abs(d1)
+        else:
+            X, Y = grid.cell_centers()
+            d1 = X - center[0]
+            d2 = Y - center[1]
+            norm = np.hypot(d1, d2)
+        safe = np.where(norm > 0.0, norm, 1.0)
+        w1 = np.where(norm > 0.0, -d1 / safe, 0.0)
+        if grid.ndim == 1:
+            return cls(beta, (w1,))
+        w2 = np.where(norm > 0.0, -d2 / safe, 0.0)
+        return cls(beta, (w1, w2))
+
+
+def relaxation_update(q_star, rho_next, rc: RelaxationConfig, dt: float):
+    """Implicit relaxation of momentum toward rho w; contraction by 1/(1 + dt/beta)."""
+    fac = dt / rc.beta
+    return tuple(
+        (q + fac * rho_next * w) / (1.0 + fac) for q, w in zip(q_star, rc.w)
+    )
 
 
 def _axes(grid: Grid):
@@ -201,8 +238,7 @@ def _stage(grid, state_init, state_flux, dt, w_new, law, *, order, masses, solve
     return new, q_new, Pi, report, max_speed
 
 
-def _substep(grid, state_init, state_flux, dt, law, mode, *, order, pi_old=None,
-             cg_rtol=1e-13):
+def _substep(grid, state_init, state_flux, dt, law, mode, *, order, pi_old=None):
     """One implicit-pressure update from ``state_init`` with fluxes at ``state_flux``.
 
     ``mode`` selects the weight of the new pressure: "implicit" solves for
@@ -248,9 +284,7 @@ def _substep(grid, state_init, state_flux, dt, law, mode, *, order, pi_old=None,
             h=lambda u: u,
             hprime=lambda u: np.ones_like(u),
         )
-        return solve_newton(
-            problem, u0, lower=lower, iterate_hook=hook, cg_rtol=cg_rtol
-        )
+        return solve_newton(problem, u0, lower=lower, iterate_hook=hook)
 
     new, q_new, Pi, report, max_speed = _stage(
         grid, state_init, state_flux, dt, w_new, law,
@@ -269,7 +303,42 @@ def _substep(grid, state_init, state_flux, dt, law, mode, *, order, pi_old=None,
     return SubstepResult(state, Pi, report, clamps, max_speed)
 
 
-def step(grid, state, dt, law, *, order=2, time_order=None, cg_rtol=1e-13):
+def _advance(substep, state, dt, *, order, time_order, relaxation):
+    """The time discretization both schemes share; returns ``(state, StepInfo)``.
+
+    ``substep(state_flux, dt, mode, order)`` runs one condensed stage from the
+    step's start state with fluxes at ``state_flux``.  ``time_order=1`` is one
+    implicit substep.  ``time_order=2`` is a midpoint predictor over dt / 2
+    and a corrector over dt with fluxes at the predictor state and the
+    time-averaged pressure, redone with the implicit weighting when the
+    corrector raises :class:`PressureSwitchTriggered`.  ``relaxation`` then
+    drags the momenta toward rho w, using the stage's density.
+    """
+    switched = False
+    if time_order == 1:
+        subs = [substep(state, dt, "implicit", order)]
+    else:
+        half = substep(state, 0.5 * dt, "implicit", order)
+        try:
+            full = substep(half.state, dt, "semi", order)
+        except PressureSwitchTriggered:
+            switched = True
+            full = substep(half.state, dt, "implicit", order)
+        subs = [half, full]
+    new = subs[-1].state
+    if relaxation is not None:
+        q = (new.q1,) if new.q2 is None else (new.q1, new.q2)
+        q = relaxation_update(q, new.rho, relaxation, dt)
+        new.q1 = q[0]
+        if new.q2 is not None:
+            new.q2 = q[1]
+    return new, StepInfo(
+        tuple(s.report for s in subs), switched,
+        sum(s.clamps for s in subs), max(s.max_speed for s in subs),
+    )
+
+
+def step(grid, state, dt, law, *, order=2, time_order=None, relaxation=None):
     """Advance one time step; returns ``(new_state, StepInfo)``.
 
     ``order=1`` is the fully implicit donor-cell step.  ``order=2`` combines
@@ -277,36 +346,19 @@ def step(grid, state, dt, law, *, order=2, time_order=None, cg_rtol=1e-13):
     pressure corrector, falling back to the implicit weighting for the whole
     step when the corrector's pressure floor is hit.  ``time_order=1`` with
     ``order=2`` keeps the minmod faces but steps fully implicitly (second
-    order in space only).
+    order in space only).  ``relaxation`` drags momentum toward rho w after
+    the finite-volume stage.
     """
     if time_order is None:
         time_order = order
     if order not in (1, 2) or time_order not in (1, 2) or time_order > order:
         raise ValueError(f"unsupported order pair ({order}, {time_order})")
-    if time_order == 1:
-        res = _substep(
-            grid, state, state, dt, law, "implicit", order=order, cg_rtol=cg_rtol
+
+    def substep(state_flux, h, mode, sub_order):
+        pi_old = singular_pressure(state.Z, law) if mode == "semi" else None
+        return _substep(
+            grid, state, state_flux, h, law, mode, order=sub_order, pi_old=pi_old
         )
-        return res.state, StepInfo((res.report,), False, res.clamps, res.max_speed)
-    half = _substep(
-        grid, state, state, 0.5 * dt, law, "implicit", order=2, cg_rtol=cg_rtol
-    )
-    pi_old = singular_pressure(state.Z, law)
-    switched = False
-    try:
-        full = _substep(
-            grid, state, half.state, dt, law, "semi",
-            order=2, pi_old=pi_old, cg_rtol=cg_rtol,
-        )
-    except PressureSwitchTriggered:
-        switched = True
-        full = _substep(
-            grid, state, half.state, dt, law, "implicit", order=2, cg_rtol=cg_rtol
-        )
-    info = StepInfo(
-        (half.report, full.report),
-        switched,
-        half.clamps + full.clamps,
-        max(half.max_speed, full.max_speed),
-    )
-    return full.state, info
+
+    return _advance(substep, state, dt, order=order, time_order=time_order,
+                    relaxation=relaxation)

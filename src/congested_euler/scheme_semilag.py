@@ -8,16 +8,19 @@ density below rho_star.  rho_star itself moves along characteristics: each
 cell traces its foot backward through the velocity field and reads the old
 field through Lagrange interpolation on 2r + 2 neighboring nodes.
 
-Second order combines MUSCL fluxes, a midpoint predictor with a
-time-averaged pressure corrector, and Strang splitting that advects
-rho_star a half step on either side of the finite-volume stage.  An
-optional relaxation stage drags momentum toward rho times a desired
-velocity field, for evacuation runs.
+The time discretization is :func:`scheme_conservative._advance`, shared with
+the conservative scheme: predictor, corrector, relaxation of the momentum
+toward rho times a desired velocity (evacuation runs) and the step's
+diagnostics.  This scheme supplies :func:`_fv_substep` against a frozen
+rho_star and the transport around it.  Second order combines MUSCL fluxes
+with Strang splitting that advects rho_star a half step on either side of
+the finite-volume stage; first order advects it a full step after it.  The
+last advection uses the relaxed velocity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,11 +34,14 @@ from congested_euler.grid import (
     pad_field,
 )
 from congested_euler.pressure import singular_pressure, singular_pressure_deriv
+# RelaxationConfig and relaxation_update are re-exported for callers of this module
 from congested_euler.scheme_conservative import (
     DENSITY_FLOOR,
-    StepInfo,
+    RelaxationConfig,
     SubstepResult,
+    _advance,
     _stage,
+    relaxation_update,
 )
 
 # Newton iterates and the projected density stay below this fraction of
@@ -55,40 +61,6 @@ class SemiLagConfig:
             raise ValueError(f"interpolation half-width must be 0 or 1, got {self.r}")
         if self.time_order not in (1, 2):
             raise ValueError(f"backtracking order must be 1 or 2, got {self.time_order}")
-
-
-@dataclass(frozen=True)
-class RelaxationConfig:
-    """Relaxation time beta and unit desired-velocity components."""
-
-    beta: float
-    w: tuple
-
-    @classmethod
-    def toward_exit(cls, grid: Grid, beta: float, center=(0.5, 0.0)):
-        """Unit field pointing at ``center``; zero at the singular point."""
-        if grid.ndim == 1:
-            d1 = grid.centers_x - center[0]
-            norm = np.abs(d1)
-        else:
-            X, Y = grid.cell_centers()
-            d1 = X - center[0]
-            d2 = Y - center[1]
-            norm = np.hypot(d1, d2)
-        safe = np.where(norm > 0.0, norm, 1.0)
-        w1 = np.where(norm > 0.0, -d1 / safe, 0.0)
-        if grid.ndim == 1:
-            return cls(beta, (w1,))
-        w2 = np.where(norm > 0.0, -d2 / safe, 0.0)
-        return cls(beta, (w1, w2))
-
-
-def relaxation_update(q_star, rho_next, rc: RelaxationConfig, dt: float):
-    """Implicit relaxation of momentum toward rho w; contraction by 1/(1 + dt/beta)."""
-    fac = dt / rc.beta
-    return tuple(
-        (q + fac * rho_next * w) / (1.0 + fac) for q, w in zip(q_star, rc.w)
-    )
 
 
 def _lagrange_weights(theta, r: int):
@@ -186,16 +158,21 @@ def semilag_advect(rho_star, velocity, dt: float, grid: Grid, cfg: SemiLagConfig
     return out
 
 
-def _project_density(rho, rho_star):
-    """Clip into [floor, (1 - guard) rho_star]; returns (field, clamp count)."""
-    ceiling = (1.0 - CONGESTION_GUARD) * np.asarray(rho_star, dtype=float)
+def _project_density(rho, rho_star, q1, q2, time):
+    """The state with rho clipped into [floor, (1 - guard) rho_star].
+
+    Returns ``(state, clamp count)``.
+    """
+    ceiling = (1.0 - CONGESTION_GUARD) * rho_star
     clamps = int(np.count_nonzero(rho < DENSITY_FLOOR))
     clamps += int(np.count_nonzero(rho > ceiling))
-    return np.clip(rho, DENSITY_FLOOR, ceiling), clamps
+    rho = np.clip(rho, DENSITY_FLOOR, ceiling)
+    state = GridState(rho=rho, q1=q1, Z=rho / rho_star, rho_star=rho_star, q2=q2,
+                      time=time)
+    return state, clamps
 
 
-def _fv_substep(grid, state_init, state_flux, rho_star, dt, law, mode, *, order,
-                cg_rtol=1e-13):
+def _fv_substep(grid, state_init, state_flux, rho_star, dt, law, mode, *, order):
     """One congestion-implicit update of (rho, q) against a frozen rho_star.
 
     ``mode`` selects the weight of the new pressure: "implicit" applies
@@ -227,8 +204,7 @@ def _fv_substep(grid, state_init, state_flux, rho_star, dt, law, mode, *, order,
             hprime=dpmap,
         )
         rho_u, report = solve_newton(
-            problem, state_flux.rho, lower=DENSITY_FLOOR, upper=ceiling,
-            cg_rtol=cg_rtol,
+            problem, state_flux.rho, lower=DENSITY_FLOOR, upper=ceiling
         )
         return pmap(rho_u.ravel()).reshape(grid.shape), report
 
@@ -236,96 +212,39 @@ def _fv_substep(grid, state_init, state_flux, rho_star, dt, law, mode, *, order,
         grid, state_init, state_flux, dt, w_new, law,
         order=order, masses=("rho",), solve=solve,
     )
-    rs_field = rs.reshape(grid.shape)
-    rho_new, clamps = _project_density(new["rho"], rs_field)
-    state = GridState(
-        rho=rho_new,
-        q1=q_new["q1"],
-        Z=rho_new / rs_field,
-        rho_star=rs_field,
-        q2=q_new.get("q2"),
-        time=state_init.time + dt,
+    state, clamps = _project_density(
+        new["rho"], rs.reshape(grid.shape), q_new["q1"], q_new.get("q2"),
+        state_init.time + dt,
     )
     return SubstepResult(state, Pi, report, clamps, max_speed)
 
 
-def _velocity(state):
-    if state.q2 is None:
-        return (state.q1 / state.rho,)
-    return (state.q1 / state.rho, state.q2 / state.rho)
-
-
-def _finish(grid, fv, rho_star_new, q_comps, time, clamps_extra):
-    rho, clamps = _project_density(fv.state.rho, rho_star_new)
-    rs = np.asarray(rho_star_new, dtype=float).reshape(grid.shape)
-    state = GridState(
-        rho=rho,
-        q1=q_comps[0],
-        Z=rho / rs,
-        rho_star=rs,
-        q2=q_comps[1] if len(q_comps) == 2 else None,
-        time=time,
-    )
-    return state, clamps + clamps_extra
-
-
-def step(grid, state, dt, law, *, order=2, slcfg=None, relaxation=None,
-         cg_rtol=1e-13):
+def step(grid, state, dt, law, *, order=2, slcfg=None, relaxation=None):
     """Advance one time step; returns ``(new_state, StepInfo)``.
 
     ``order=1`` runs the fully implicit donor-cell stage and then advects
     rho_star with the updated velocity.  ``order=2`` wraps the midpoint
     predictor and time-averaged corrector between two half-step advections
     of rho_star.  ``relaxation`` drags momentum toward rho w after the
-    finite-volume stage.
+    finite-volume stage, before the last advection.
     """
-    if slcfg is None:
-        slcfg = SemiLagConfig(r=1, time_order=2 if order == 2 else 1)
-    if order == 1:
-        fv = _fv_substep(
-            grid, state, state, state.rho_star, dt, law, "implicit",
-            order=1, cg_rtol=cg_rtol,
-        )
-        q = [fv.state.q1] if fv.state.q2 is None else [fv.state.q1, fv.state.q2]
-        if relaxation is not None:
-            q = list(relaxation_update(tuple(q), fv.state.rho, relaxation, dt))
-        vel = tuple(qc / fv.state.rho for qc in q)
-        rs_new = semilag_advect(state.rho_star, vel, dt, grid, slcfg)
-        out, clamps = _finish(grid, fv, rs_new, q, state.time + dt, fv.clamps)
-        return out, StepInfo((fv.report,), False, clamps, fv.max_speed)
-    if order != 2:
+    if order not in (1, 2):
         raise ValueError(f"unsupported order {order}")
+    if slcfg is None:
+        slcfg = SemiLagConfig(r=1, time_order=order)
+    st0, clamps0 = state, 0
+    if order == 2:
+        rs = semilag_advect(state.rho_star, state.velocity, 0.5 * dt, grid, slcfg)
+        st0, clamps0 = _project_density(state.rho, rs, state.q1, state.q2, state.time)
 
-    rs_half = semilag_advect(state.rho_star, _velocity(state), 0.5 * dt, grid, slcfg)
-    rho0, clamps0 = _project_density(state.rho, rs_half)
-    st0 = GridState(
-        rho=rho0,
-        q1=state.q1,
-        Z=rho0 / rs_half,
-        rho_star=rs_half,
-        q2=state.q2,
-        time=state.time,
+    def substep(state_flux, h, mode, sub_order):
+        return _fv_substep(
+            grid, st0, state_flux, st0.rho_star, h, law, mode, order=sub_order
+        )
+
+    fv, info = _advance(
+        substep, st0, dt, order=order, time_order=order, relaxation=relaxation
     )
-    half = _fv_substep(
-        grid, st0, st0, rs_half, 0.5 * dt, law, "implicit", order=2,
-        cg_rtol=cg_rtol,
-    )
-    full = _fv_substep(
-        grid, st0, half.state, rs_half, dt, law, "semi", order=2, cg_rtol=cg_rtol
-    )
-    q = [full.state.q1] if full.state.q2 is None else [full.state.q1, full.state.q2]
-    if relaxation is not None:
-        q = list(relaxation_update(tuple(q), full.state.rho, relaxation, dt))
-    vel = tuple(qc / full.state.rho for qc in q)
-    rs_new = semilag_advect(rs_half, vel, 0.5 * dt, grid, slcfg)
-    out, clamps = _finish(
-        grid, full, rs_new, q, state.time + dt,
-        clamps0 + half.clamps + full.clamps,
-    )
-    info = StepInfo(
-        (half.report, full.report),
-        False,
-        clamps,
-        max(half.max_speed, full.max_speed),
-    )
-    return out, info
+    rs = semilag_advect(st0.rho_star, fv.velocity, dt / order, grid, slcfg)
+    out, clamps = _project_density(fv.rho, rs, fv.q1, fv.q2, fv.time)
+    return out, replace(info, clamps=clamps0 + info.clamps + clamps)

@@ -182,7 +182,7 @@ def test_linear_solve_with_varying_diagonal_matches_dense():
             fp = 0.5 + RNG.random(grid.size)
             hp = 0.5 + RNG.random(grid.size)
             b = RNG.standard_normal(grid.size)
-            x = _solve_linear(op, fp, hp, b, cg_rtol=1e-14)
+            x = _solve_linear(op, fp, hp, b)
             dense = np.diag(fp) - A.toarray() @ np.diag(hp)
             np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=0, atol=1e-11)
 
@@ -195,7 +195,7 @@ def test_cg_stall_raises_linear_solve_error(monkeypatch):
     A, _ = op.matrix()
     fp = np.linspace(1.0, 2.0, op.grid.size)
     with pytest.raises(LinearSolveError) as err:
-        _solve_linear(op, fp, np.ones_like(fp), np.ones_like(fp), cg_rtol=1e-13)
+        _solve_linear(op, fp, np.ones_like(fp), np.ones_like(fp))
     diag = fp - A.diagonal()
     assert err.value.info == 7
     assert (err.value.diag_min, err.value.diag_max) == (diag.min(), diag.max())

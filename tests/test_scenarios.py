@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from congested_euler import scenarios
+from congested_euler import scenarios, scheme_conservative
 from congested_euler.elliptic import NewtonError, NewtonReport
 from congested_euler.grid import (
     BOTTOM,
@@ -250,17 +250,16 @@ def test_run_scenario_conserves_mass_periodic():
 
 def test_run_scenario_reports_failing_step(monkeypatch):
     calls = []
+    real_step = scheme_conservative.step
 
     def explode(grid, state, dt, law, **kw):
         calls.append(0)
         if len(calls) == 3:
             report = NewtonReport(iterations=99, residual=1.0, converged=False)
             raise NewtonError("diverged", report)
-        import congested_euler.scheme_conservative as sc
+        return real_step(grid, state, dt, law, order=2)
 
-        return sc.step(grid, state, dt, law, order=2)
-
-    monkeypatch.setitem(scenarios._STEPPERS, "zq", explode)
+    monkeypatch.setattr(scheme_conservative, "step", explode)
     s = Scenario(kind="smooth1d", nx=16, t_end=0.1)
     with pytest.raises(scenarios.ScenarioError) as err:
         scenarios.run_scenario(s)
@@ -268,11 +267,39 @@ def test_run_scenario_reports_failing_step(monkeypatch):
     assert isinstance(err.value.__cause__, NewtonError)
 
 
+@pytest.mark.parametrize("fail_at", [1, 3])
+def test_scenario_error_names_the_background_cfl(monkeypatch, fail_at):
+    infos = []
+    real_step = scheme_conservative.step
+
+    def explode(grid, state, dt, law, **kw):
+        if len(infos) + 1 == fail_at:
+            report = NewtonReport(iterations=99, residual=1.0, converged=False)
+            raise NewtonError("line search stalled", report)
+        new, info = real_step(grid, state, dt, law, **kw)
+        infos.append((info, dt, grid.dx))
+        return new, info
+
+    monkeypatch.setattr(scheme_conservative, "step", explode)
+    s = Scenario(kind="collide2d", nx=12, t_end=0.1)
+    with pytest.raises(scenarios.ScenarioError) as err:
+        scenarios.run_scenario(s)
+    msg = str(err.value)
+    assert "line search stalled" in msg
+    if fail_at == 1:
+        assert msg.endswith("background CFL of the last completed step: no step completed")
+    else:
+        info, dt, dx = infos[-1]
+        cfl = info.max_speed * dt / dx
+        assert cfl > 0.0
+        assert msg.endswith(f"background CFL of the last completed step: {cfl:.3g}")
+
+
 def test_run_scenario_lets_programming_errors_through(monkeypatch):
     def broken(grid, state, dt, law, **kw):
         raise TypeError("not a numerical failure")
 
-    monkeypatch.setitem(scenarios._STEPPERS, "zq", broken)
+    monkeypatch.setattr(scheme_conservative, "step", broken)
     with pytest.raises(TypeError):
         scenarios.run_scenario(Scenario(kind="smooth1d", nx=16, t_end=0.1))
 

@@ -325,6 +325,36 @@ def test_substeps_of_both_schemes_agree_at_unit_capacity(grid, order, mode):
 
 
 @pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("scheme", [zq, sl], ids=["zq", "sl"])
+@pytest.mark.parametrize(
+    "grid", [g for g in UNIT_CAPACITY_GRIDS if not g.has_dirichlet]
+)
+def test_relaxation_acts_once_after_the_fv_stage(grid, scheme, order):
+    # Relaxing inside the step equals relaxing the unrelaxed step's momenta
+    # with its density: one relaxation, after the stage, in either scheme.
+    # At rho* = 1 the advection of rho* by either velocity stays at 1.
+    rng = np.random.default_rng(23)
+    rho = 0.3 + 0.4 * rng.random(grid.shape)
+    v1 = 0.3 * rng.standard_normal(grid.shape)
+    v2 = 0.3 * rng.standard_normal(grid.shape) if grid.ndim == 2 else None
+    state = GridState.from_primitives(grid, rho, v1, 1.0, v2)
+    rc = sl.RelaxationConfig.toward_exit(grid, 0.1)
+    dt = 0.1 * grid.dx
+    got, _ = scheme.step(grid, state, dt, LAW, order=order, relaxation=rc)
+    want, _ = scheme.step(grid, state, dt, LAW, order=order)
+    q = (want.q1,) if want.q2 is None else (want.q1, want.q2)
+    q = sl.relaxation_update(q, want.rho, rc, dt)
+    np.testing.assert_array_equal(got.rho, want.rho)
+    np.testing.assert_array_equal(got.q1, q[0])
+    if grid.ndim == 2:
+        np.testing.assert_array_equal(got.q2, q[1])
+    for name in ("Z", "rho_star"):
+        np.testing.assert_allclose(
+            getattr(got, name), getattr(want, name), rtol=0, atol=1e-14, err_msg=name
+        )
+
+
+@pytest.mark.parametrize("order", [1, 2])
 @pytest.mark.parametrize("ndim", [1, 2])
 def test_constant_state_is_a_fixed_point(order, ndim):
     grid = Grid(nx=12) if ndim == 1 else Grid(nx=8, ny=6)
