@@ -10,6 +10,7 @@ import argparse
 from pathlib import Path
 
 from congested_euler import scenarios
+from congested_euler.output import write_error_table
 from congested_euler.scenarios import Scenario
 
 
@@ -50,11 +51,7 @@ def main():
         tag = f"{s.scheme}_o{s.order}"
         print(f"{tag}: " + "  ".join(
             f"{name}={slope:.3f}" for name, slope in rep.slopes.items()))
-        with open(args.out / f"errors_{tag}.csv", "w") as fh:
-            fh.write("dx,dt," + ",".join(rep.errors) + "\n")
-            for i, dx in enumerate(rep.dxs):
-                row = [dx, rep.dts[i]] + [rep.errors[n][i] for n in rep.errors]
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        write_error_table(rep, args.out / f"errors_{tag}.csv")
     print(f"error tables written to {args.out}")
 
 

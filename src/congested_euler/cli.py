@@ -19,7 +19,7 @@ import numpy as np
 
 from . import scenarios
 from .grid import Grid, GridState
-from .output import write_frame, write_frames, write_manifest
+from .output import write_error_table, write_frame, write_frames, write_manifest
 from .pressure import PressureLaw
 from .riemann import solve_riemann
 from .scenarios import Scenario, ScenarioError
@@ -288,13 +288,7 @@ def _cmd_convergence(values: dict) -> int:
         return 2
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    with open(outdir / "errors.csv", "w") as fh:
-        fh.write("dx,dt," + ",".join(scenarios._STUDY_VARS) + "\n")
-        for k, dx in enumerate(report.dxs):
-            row = [dx, report.dts[k]] + [
-                report.errors[name][k] for name in scenarios._STUDY_VARS
-            ]
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
+    write_error_table(report, outdir / "errors.csv")
     manifest.update(
         status="ok",
         failing_step=None,

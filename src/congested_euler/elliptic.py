@@ -67,9 +67,10 @@ class DiffusionOperator:
     """Weighted-difference operator sum_k w_k (g_{c+o_k} - g_c).
 
     ``terms`` holds (offset, weight) pairs with field-shaped nonnegative
-    weights; offsets are ints in 1D and (dj, di) pairs in 2D.  Ghost
-    neighbors alias interior cells through the grid's ghost map; neighbors
-    beyond a fixed-state side read the per-side values in ``g_boundary``.
+    weights; offsets have one entry per array axis, (di,) in 1D (a bare int
+    also works) and (dj, di) in 2D.  Ghost neighbors alias interior cells
+    through the grid's ghost map; neighbors beyond a fixed-state side read
+    the per-side values in ``g_boundary``.
     """
 
     grid: Grid

@@ -30,8 +30,7 @@ def face_states(padded, width, axis, order):
     arrays hold the face axis last.
     """
     a = np.moveaxis(np.asarray(padded, dtype=float), axis, -1)
-    if a.ndim == 2:
-        a = a[width:-width, :]
+    a = a[(slice(width, -width),) * (a.ndim - 1)]
     n = a.shape[-1] - 2 * width
     if order == 1:
         return a[..., width - 1 : width + n], a[..., width : width + n + 1]

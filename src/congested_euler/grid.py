@@ -4,16 +4,25 @@ A :class:`Grid` covers [0, 1] in one dimension or [0, 1]^2 in two, with cell
 centers at (i + 1/2) * dx.  Fields live on numpy arrays shaped ``(nx,)`` or
 ``(ny, nx)``; the flat index of cell (i, j) is ``j * nx + i``.
 
+Axis convention: array axes run ``(y, x)``, so ``grid.shape`` and stencil
+offsets (tuples, one entry per array axis, ``(dj, di)`` in 2D and ``(di,)``
+in 1D) list y first, while per-direction sequences (``grid.spacing``,
+``grid.bcs``, momentum names q1, q2) list x first.  Every stencil is written
+once as a loop over the axes.
+
 Boundaries are handled through ghost maps: for a padding width ``w``, every
 ghost cell either aliases an interior cell (periodic wrap, or mirror for
 reflecting and zero-gradient sides) together with a sign for each momentum
-component, or holds a fixed exterior value.  Explicit stencils, the implicit
-pressure systems, and characteristic-foot interpolation all read the same
-map, so every part of a scheme sees identical boundaries.
+component, or holds a fixed exterior value.  Ghost indices resolve x first,
+so at a corner a window on an x side tests the virtual y coordinate of the
+ghost, and a window on a y side the aliased x coordinate.  Explicit stencils,
+the implicit pressure systems, and characteristic-foot interpolation all read
+the same map, so every part of a scheme sees identical boundaries.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,32 +65,33 @@ class OutflowWindow:
     hi: float
 
 
-def _alias_1d(v, n, bcs, t):
-    """Alias virtual index v (possibly outside [0, n)) along one axis.
+def _alias(v, n, bcs, t=None):
+    """Alias the virtual indices ``v`` (possibly outside [0, n)) along one axis.
 
-    Returns (index, normal_sign, dirichlet_side) where exactly one of index
-    (in [0, n)) or dirichlet_side (0 for the low side, 1 for the high side)
-    is meaningful.  ``t`` is the tangential coordinate used by window tests;
-    pass None on an axis with no tangential direction.
+    Returns (index, normal_sign, fixed_side) arrays; fixed_side is 0 or 1 for
+    indices beyond a low or high fixed-state side, where index is
+    meaningless, and -1 elsewhere.  ``t`` is the tangential coordinate that
+    window tests read; None on an axis with no tangential direction.
     """
-    if 0 <= v < n:
-        return v, 1.0, None
-    side = 0 if v < 0 else 1
-    bc = bcs[side]
-    if isinstance(bc, Periodic):
-        return v % n, 1.0, None
-    if isinstance(bc, Dirichlet):
-        return -1, 1.0, side
-    mirror = -v - 1 if v < 0 else 2 * n - 1 - v
-    if not 0 <= mirror < n:
-        raise ValueError("ghost width exceeds grid size at a reflecting side")
-    if isinstance(bc, Wall):
-        return mirror, -1.0, None
-    if isinstance(bc, OutflowWindow):
-        if t is None or bc.lo <= t <= bc.hi:
-            return mirror, 1.0, None
-        return mirror, -1.0, None
-    raise TypeError(f"unknown boundary condition {bc!r}")
+    idx, sign, side = v.copy(), np.ones(v.shape), np.full(v.shape, -1)
+    for s, bc in enumerate(bcs):
+        out = v < 0 if s == 0 else v >= n
+        if isinstance(bc, Periodic):
+            idx[out] = v[out] % n
+        elif isinstance(bc, Dirichlet):
+            side[out] = s
+        else:
+            mirror = -v[out] - 1 if s == 0 else 2 * n - 1 - v[out]
+            if np.any((mirror < 0) | (mirror >= n)):
+                raise ValueError("ghost width exceeds grid size at a reflecting side")
+            idx[out] = mirror
+            if isinstance(bc, Wall):
+                sign[out] = -1.0
+            elif not isinstance(bc, OutflowWindow):
+                raise TypeError(f"unknown boundary condition {bc!r}")
+            elif t is not None:
+                sign[out] = np.where((bc.lo <= t[out]) & (t[out] <= bc.hi), 1.0, -1.0)
+    return idx, sign, side
 
 
 @dataclass(frozen=True)
@@ -141,7 +151,7 @@ class Grid:
             self.bc_y = (Periodic(), Periodic())
         if self.ny is None and self.bc_y is not None:
             raise ValueError("bc_y given for a one-dimensional grid")
-        for pair in (self.bc_x, self.bc_y) if self.ny else (self.bc_x,):
+        for pair in self.bcs:
             if isinstance(pair[0], Periodic) != isinstance(pair[1], Periodic):
                 raise ValueError("periodic sides must come in opposite pairs")
 
@@ -162,12 +172,22 @@ class Grid:
         return (self.nx,) if self.ny is None else (self.ny, self.nx)
 
     @property
+    def spacing(self) -> tuple:
+        """Cell widths, x first."""
+        return tuple(1.0 / n for n in self.shape[::-1])
+
+    @property
+    def bcs(self) -> tuple:
+        """Boundary pairs (low, high) per direction, x first."""
+        return (self.bc_x,) if self.ny is None else (self.bc_x, self.bc_y)
+
+    @property
     def size(self) -> int:
-        return self.nx if self.ny is None else self.nx * self.ny
+        return math.prod(self.shape)
 
     @property
     def cell_volume(self) -> float:
-        return self.dx if self.ny is None else self.dx * self.dy
+        return math.prod(self.spacing)
 
     @property
     def centers_x(self) -> np.ndarray:
@@ -177,17 +197,14 @@ class Grid:
     def centers_y(self) -> np.ndarray:
         return (np.arange(self.ny) + 0.5) * self.dy
 
-    def cell_centers(self):
-        """x array in 1D; (X, Y) arrays shaped like fields in 2D."""
-        if self.ndim == 1:
-            return self.centers_x
-        return np.meshgrid(self.centers_x, self.centers_y)
+    def cell_centers(self) -> list:
+        """Cell-center coordinates, one field-shaped array per direction, x first."""
+        return [(i + 0.5) * h for i, h in zip(np.indices(self.shape)[::-1], self.spacing)]
 
     @property
     def boundaries(self) -> tuple:
-        if self.ndim == 1:
-            return (self.bc_x[0], self.bc_x[1])
-        return (self.bc_x[0], self.bc_x[1], self.bc_y[0], self.bc_y[1])
+        """Sides in the order LEFT, RIGHT, BOTTOM, TOP."""
+        return tuple(bc for pair in self.bcs for bc in pair)
 
     @property
     def has_dirichlet(self) -> bool:
@@ -206,45 +223,29 @@ class Grid:
         return self._patterns[width, offsets]
 
     def _build_ghost_map(self, w: int) -> GhostMap:
-        if self.ndim == 1:
-            n = self.nx
-            src = np.empty(n + 2 * w, dtype=np.int64)
-            sq1 = np.ones(n + 2 * w)
-            for k, v in enumerate(range(-w, n + w)):
-                idx, sign, side = _alias_1d(v, n, self.bc_x, None)
-                src[k] = idx if side is None else -1 - side
-                sq1[k] = sign
-            return GhostMap(w, src, sq1, np.ones_like(sq1))
-        nx, ny = self.nx, self.ny
-        shape = (ny + 2 * w, nx + 2 * w)
-        src = np.empty(shape, dtype=np.int64)
-        sq1 = np.ones(shape)
-        sq2 = np.ones(shape)
-        for kj, vj in enumerate(range(-w, ny + w)):
-            y_t = (vj + 0.5) * self.dy
-            for ki, vi in enumerate(range(-w, nx + w)):
-                i_idx, sx, xside = _alias_1d(vi, nx, self.bc_x, y_t)
-                if xside is not None:
-                    src[kj, ki] = -1 - xside
-                    continue
-                x_t = (i_idx + 0.5) * self.dx
-                j_idx, sy, yside = _alias_1d(vj, ny, self.bc_y, x_t)
-                if yside is not None:
-                    src[kj, ki] = -1 - (BOTTOM + yside)
-                    continue
-                src[kj, ki] = j_idx * nx + i_idx
-                sq1[kj, ki] = sx
-                sq2[kj, ki] = sy
-        return GhostMap(w, src, sq1, sq2)
+        # virtual indices of every padded cell, x first; a cell beyond side s
+        # of direction k holds the fixed value of side 2k + s (LEFT, RIGHT,
+        # BOTTOM, TOP), and the first fixed-state side met wins
+        v = [u - w for u in np.indices([n + 2 * w for n in self.shape])[::-1]]
+        fixed = np.full(v[0].shape, -1)
+        signs = [np.ones(v[0].shape), np.ones(v[0].shape)]
+        for k, (n, bcs) in enumerate(zip(self.shape[::-1], self.bcs)):
+            t = [(u + 0.5) * h for m, (u, h) in enumerate(zip(v, self.spacing)) if m != k]
+            v[k], signs[k], side = _alias(v[k], n, bcs, *t)
+            newly = (fixed < 0) & (side >= 0)
+            fixed[newly] = 2 * k + side[newly]
+        flat = np.ravel_multi_index(tuple(v[::-1]), self.shape, mode="clip")
+        return GhostMap(w, np.where(fixed < 0, flat, -1 - fixed), *signs)
 
 
 def _shifted(grid: Grid, padded, width: int, offset):
-    """Interior-shaped view of a padded array displaced by a stencil offset."""
-    if grid.ndim == 1:
-        return padded[width + offset : width + offset + grid.nx]
-    dj, di = offset
+    """Interior-shaped view of a padded array displaced by a stencil offset.
+
+    ``offset`` has one entry per array axis; a bare int is a 1D offset.
+    """
+    offset = (offset,) if isinstance(offset, int) else offset
     return padded[
-        width + dj : width + dj + grid.ny, width + di : width + di + grid.nx
+        tuple([slice(width + o, width + o + n) for o, n in zip(offset, grid.shape)])
     ]
 
 
@@ -326,9 +327,7 @@ def pad_field(grid: Grid, values, width: int, kind: str = "scalar", dirichlet=No
 
 def interior(grid: Grid, padded, width: int):
     """View of the interior cells of a padded field."""
-    if grid.ndim == 1:
-        return padded[width:-width]
-    return padded[width:-width, width:-width]
+    return padded[(slice(width, -width),) * grid.ndim]
 
 
 def dirichlet_values(grid: Grid, name: str) -> np.ndarray:

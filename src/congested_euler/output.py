@@ -20,51 +20,52 @@ _FMT = "%.17g"
 
 
 def _field_names(grid: Grid) -> list[str]:
-    if grid.ndim == 1:
-        return ["rho", "q1", "Z", "rho_star"]
-    return ["rho", "q1", "q2", "Z", "rho_star"]
+    return ["rho", *(f"q{k + 1}" for k in range(grid.ndim)), "Z", "rho_star"]
 
 
 def _columns(state: GridState, grid: Grid):
     names = _field_names(grid)
-    cols = [getattr(state, n).reshape(-1) for n in names]
-    if grid.ndim == 1:
-        coords = [grid.centers_x]
-        header = ["x"]
-    else:
-        xx, yy = grid.cell_centers()
-        coords = [xx.reshape(-1), yy.reshape(-1)]
-        header = ["x", "y"]
-    return header + names, coords + cols
+    cols = [f.reshape(-1) for f in grid.cell_centers() + [getattr(state, n) for n in names]]
+    return ["x", "y"][: grid.ndim] + names, cols
+
+
+def _write_table(fh, columns, header=()) -> None:
+    """Equal-length columns as comma-separated rows of 17-digit values.
+
+    One format string per row: ``np.savetxt`` wraps every row in an array
+    view and took more than twice as long on a one-column block.
+    """
+    if header:
+        fh.write(",".join(header) + "\n")
+    row = ",".join([_FMT] * len(columns)) + "\n"
+    fh.writelines(map(row.__mod__, zip(*(np.asarray(c, dtype=float) for c in columns))))
 
 
 def _write_csv(state: GridState, grid: Grid, path) -> None:
     header, cols = _columns(state, grid)
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in zip(*cols):
-            fh.write(",".join(_FMT % v for v in row) + "\n")
+        _write_table(fh, cols, header)
 
 
 def _write_vtk(state: GridState, grid: Grid, path) -> None:
-    nx = grid.nx
-    ny = grid.ny if grid.ndim == 2 else 1
-    dy = grid.dy if grid.ndim == 2 else 1.0
-    oy = grid.dy / 2 if grid.ndim == 2 else 0.0
+    # the lattice is 3D: each missing axis has one point at 0 and spacing 1
+    pad = 3 - grid.ndim
+    dims = " ".join(str(n) for n in grid.shape[::-1]) + " 1" * pad
+    origin = " ".join(_FMT % (h / 2) for h in grid.spacing) + " 0" * pad
+    spacing = " ".join(_FMT % h for h in grid.spacing) + " 1" * pad
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
         fh.write(_FMT % state.time + "\n")
         fh.write("ASCII\n")
         fh.write("DATASET STRUCTURED_POINTS\n")
-        fh.write(f"DIMENSIONS {nx} {ny} 1\n")
-        fh.write(f"ORIGIN {_FMT % (grid.dx / 2)} {_FMT % oy} 0\n")
-        fh.write(f"SPACING {_FMT % grid.dx} {_FMT % dy} 1\n")
+        fh.write(f"DIMENSIONS {dims}\n")
+        fh.write(f"ORIGIN {origin}\n")
+        fh.write(f"SPACING {spacing}\n")
         fh.write(f"POINT_DATA {grid.size}\n")
         for name in _field_names(grid):
             fh.write(f"SCALARS {name} double 1\n")
             fh.write("LOOKUP_TABLE default\n")
-            for v in getattr(state, name).reshape(-1):
-                fh.write(_FMT % v + "\n")
+            _write_table(fh, [getattr(state, name).reshape(-1)])
 
 
 def write_frame(state: GridState, grid: Grid, path, fmt: str = "csv") -> None:
@@ -103,6 +104,13 @@ def read_frame(path) -> dict[str, np.ndarray]:
     shaped["x"] = shaped["x"][0]
     shaped["y"] = shaped["y"][:, 0]
     return shaped
+
+
+def write_error_table(report, path) -> None:
+    """A refinement study's L1 errors: one row of dx, dt and the errors per spacing."""
+    with open(path, "w") as fh:
+        _write_table(fh, [report.dxs, report.dts, *report.errors.values()],
+                     ["dx", "dt", *report.errors])
 
 
 def write_manifest(path, payload: dict) -> None:

@@ -27,9 +27,8 @@ from scipy.optimize import brentq
 from congested_euler.pressure import (
     PressureLaw,
     background_pressure,
-    background_pressure_deriv,
-    singular_pressure,
-    singular_pressure_deriv,
+    total_pressure,
+    total_pressure_deriv,
 )
 
 Z_FLOOR = 1e-8
@@ -83,18 +82,6 @@ class Wave:
     right: PrimState
 
 
-def _pressure_pair(law: PressureLaw, include_singular: bool):
-    if include_singular:
-        return (
-            lambda Z: background_pressure(Z, law) + singular_pressure(Z, law),
-            lambda Z: background_pressure_deriv(Z, law) + singular_pressure_deriv(Z, law),
-        )
-    return (
-        lambda Z: background_pressure(Z, law),
-        lambda Z: background_pressure_deriv(Z, law),
-    )
-
-
 def _family_sign(family: int) -> float:
     if family == 1:
         return -1.0
@@ -106,23 +93,25 @@ def _family_sign(family: int) -> float:
 def hugoniot_velocity(Z, hat: PrimState, law: PressureLaw, family: int,
                       include_singular: bool = True) -> float:
     """Velocity on the family-1/3 jump locus through ``hat``, at congestion Z."""
-    P, _ = _pressure_pair(law, include_singular)
     if Z == hat.Z:
         return hat.v
-    disc = (Z - hat.Z) * (P(Z) - P(hat.Z)) / (hat.rho_star * Z * hat.Z)
+    jump = (
+        total_pressure(Z, law, include_singular)
+        - total_pressure(hat.Z, law, include_singular)
+    )
+    disc = (Z - hat.Z) * jump / (hat.rho_star * Z * hat.Z)
     return hat.v + _family_sign(family) * np.sign(Z - hat.Z) * np.sqrt(disc)
 
 
 def rarefaction_velocity(Z, hat: PrimState, law: PressureLaw, family: int,
                          include_singular: bool = True) -> float:
     """Velocity on the family-1/3 integral curve through ``hat``, at congestion Z."""
-    _, dP = _pressure_pair(law, include_singular)
     rstar = hat.rho_star
 
     # dv = sqrt(P'(s) / rho*) / s ds grows like s^((gamma - 3) / 2) at s = 0;
     # in t = sqrt(s) it is t^(gamma - 2), bounded for gamma >= 2.
     def dv_dt(t):
-        return 2.0 * np.sqrt(dP(t * t) / rstar) / t
+        return 2.0 * np.sqrt(total_pressure_deriv(t * t, law, include_singular) / rstar) / t
 
     # Near-machine tolerances trip quad's roundoff warning while its result
     # is still good; keep the estimate but fail loudly if it really is bad.
@@ -150,15 +139,20 @@ def wave_curve_velocity(Z, hat: PrimState, law: PressureLaw, family: int,
 def shock_speed(Z, hat: PrimState, law: PressureLaw, family: int,
                 include_singular: bool = True) -> float:
     """Propagation speed of the family-1/3 jump through ``hat`` at congestion Z."""
-    P, dP = _pressure_pair(law, include_singular)
     if Z == hat.Z:
-        return hat.v + _family_sign(family) * np.sqrt(hat.Z * dP(hat.Z) / hat.rho)
-    flux = np.sqrt(Z * (P(Z) - P(hat.Z)) / (hat.rho * (Z - hat.Z)))
+        dP = total_pressure_deriv(hat.Z, law, include_singular)
+        return hat.v + _family_sign(family) * np.sqrt(hat.Z * dP / hat.rho)
+    jump = (
+        total_pressure(Z, law, include_singular)
+        - total_pressure(hat.Z, law, include_singular)
+    )
+    flux = np.sqrt(Z * jump / (hat.rho * (Z - hat.Z)))
     return hat.v + _family_sign(family) * flux
 
 
-def _sound_speed(state: PrimState, dP) -> float:
-    return float(np.sqrt(dP(state.Z) / state.rho_star))
+def _sound_speed(state: PrimState, law: PressureLaw, include_singular: bool) -> float:
+    dP = total_pressure_deriv(state.Z, law, include_singular)
+    return float(np.sqrt(dP / state.rho_star))
 
 
 @dataclass
@@ -176,19 +170,7 @@ class RiemannFan:
     residual: float
     root_count: int
 
-    def max_char_speed(self) -> float:
-        """Largest |v -+ c| over the constant states (Z = 1 states excluded)."""
-        _, dP = _pressure_pair(self.law, self.include_singular)
-        out = 0.0
-        for s in (self.left, self.mid_left, self.mid_right, self.right):
-            if s.Z >= 1.0:
-                continue
-            c = _sound_speed(s, dP)
-            out = max(out, abs(s.v - c), abs(s.v + c))
-        return out
-
     def _fan_state(self, family: int, xi: float) -> PrimState:
-        _, dP = _pressure_pair(self.law, self.include_singular)
         if family == 1:
             hat, z_in, z_out = self.left, self.mid_left.Z, self.left.Z
         else:
@@ -196,7 +178,8 @@ class RiemannFan:
 
         def speed(Z):
             v = rarefaction_velocity(Z, hat, self.law, family, self.include_singular)
-            c = np.sqrt(dP(Z) / hat.rho_star)
+            dP = total_pressure_deriv(Z, self.law, self.include_singular)
+            c = np.sqrt(dP / hat.rho_star)
             return (v - c if family == 1 else v + c) - xi
 
         lo, hi = sorted((z_in, z_out))
@@ -235,17 +218,16 @@ class RiemannFan:
 
 def _nonlinear_wave(family: int, hat: PrimState, mid: PrimState,
                     law: PressureLaw, include_singular: bool) -> Wave:
-    _, dP = _pressure_pair(law, include_singular)
     lstate, rstate = (hat, mid) if family == 1 else (mid, hat)
     dz = mid.Z - hat.Z
     if abs(dz) <= 1e-14 * max(mid.Z, hat.Z):
-        lam = hat.v + _family_sign(family) * _sound_speed(hat, dP)
+        lam = hat.v + _family_sign(family) * _sound_speed(hat, law, include_singular)
         return Wave(family, "rarefaction", lam, lam, lstate, rstate)
     if dz > 0.0:
         sigma = (rstate.q - lstate.q) / (rstate.rho - lstate.rho)
         return Wave(family, "shock", sigma, sigma, lstate, rstate)
-    lam_hat = hat.v + _family_sign(family) * _sound_speed(hat, dP)
-    lam_mid = mid.v + _family_sign(family) * _sound_speed(mid, dP)
+    lam_hat = hat.v + _family_sign(family) * _sound_speed(hat, law, include_singular)
+    lam_mid = mid.v + _family_sign(family) * _sound_speed(mid, law, include_singular)
     lo, hi = sorted((lam_hat, lam_mid))
     return Wave(family, "rarefaction", lo, hi, lstate, rstate)
 
@@ -306,7 +288,6 @@ def solve_riemann(left: PrimState, right: PrimState, law: PressureLaw,
     w3 = _nonlinear_wave(3, right, mid_right, law, include_singular)
     contact = Wave(2, "contact", v_mid, v_mid, mid_left, mid_right)
 
-    P, _ = _pressure_pair(law, include_singular)
     return RiemannFan(
         law=law,
         include_singular=include_singular,
@@ -315,7 +296,9 @@ def solve_riemann(left: PrimState, right: PrimState, law: PressureLaw,
         mid_right=mid_right,
         right=right,
         waves=(w1, contact, w3),
-        pressures=(float(P(left.Z)), float(P(z_mid)), float(P(right.Z))),
+        pressures=tuple(
+            float(total_pressure(Z, law, include_singular)) for Z in (left.Z, z_mid, right.Z)
+        ),
         residual=residual,
         root_count=max(root_count, 1),
     )

@@ -240,7 +240,7 @@ def run_scenario(s: Scenario) -> ScenarioResult:
         scheme = scheme_semilag
         options = dict(slcfg=SemiLagConfig(r=s.sl_r, time_order=s.order))
     options.update(order=s.order, relaxation=make_relaxation(s, grid))
-    h_min = grid.dx if grid.ndim == 1 else min(grid.dx, grid.dy)
+    h_min = min(grid.spacing)
     cfl = None  # background CFL number of the last completed step
 
     dt0 = resolved_dt(s, grid)

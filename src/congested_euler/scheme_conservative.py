@@ -41,7 +41,6 @@ from congested_euler.fluxes import (
     rusanov_flux,
 )
 from congested_euler.grid import (
-    Dirichlet,
     Grid,
     GridState,
     dirichlet_values,
@@ -97,21 +96,11 @@ class RelaxationConfig:
 
     @classmethod
     def toward_exit(cls, grid: Grid, beta: float, center=(0.5, 0.0)):
-        """Unit field pointing at ``center``; zero at the singular point."""
-        if grid.ndim == 1:
-            d1 = grid.centers_x - center[0]
-            norm = np.abs(d1)
-        else:
-            X, Y = grid.cell_centers()
-            d1 = X - center[0]
-            d2 = Y - center[1]
-            norm = np.hypot(d1, d2)
+        """Unit field pointing at ``center`` (x first); zero at the singular point."""
+        d = [x - c for x, c in zip(grid.cell_centers(), center)]
+        norm = np.hypot.reduce(d, axis=0, initial=0.0)  # |d1| in 1D
         safe = np.where(norm > 0.0, norm, 1.0)
-        w1 = np.where(norm > 0.0, -d1 / safe, 0.0)
-        if grid.ndim == 1:
-            return cls(beta, (w1,))
-        w2 = np.where(norm > 0.0, -d2 / safe, 0.0)
-        return cls(beta, (w1, w2))
+        return cls(beta, tuple(np.where(norm > 0.0, -di / safe, 0.0) for di in d))
 
 
 def relaxation_update(q_star, rho_next, rc: RelaxationConfig, dt: float):
@@ -123,27 +112,13 @@ def relaxation_update(q_star, rho_next, rc: RelaxationConfig, dt: float):
 
 
 def _axes(grid: Grid):
-    """(array axis, spacing, normal momentum name) for each direction."""
-    if grid.ndim == 1:
-        return [(0, grid.dx, "q1")]
-    return [(1, grid.dx, "q1"), (0, grid.dy, "q2")]
+    """(array axis, spacing, normal momentum name) for each direction, x first."""
+    return [(grid.ndim - 1 - k, h, f"q{k + 1}") for k, h in enumerate(grid.spacing)]
 
 
 def _offset(grid: Grid, axis: int, k: int):
-    if grid.ndim == 1:
-        return k
-    return (0, k) if axis == 1 else (k, 0)
-
-
-def _pi_boundary(grid: Grid, law):
-    """Per-side exterior congestion pressure on fixed-state sides."""
-    if not grid.has_dirichlet:
-        return None
-    vals = np.full(4, np.nan)
-    for side, bc in enumerate(grid.boundaries):
-        if isinstance(bc, Dirichlet):
-            vals[side] = singular_pressure(bc.Z, law)
-    return vals
+    """Stencil offset of k cells along one array axis."""
+    return tuple([k if a == axis else 0 for a in range(grid.ndim)])
 
 
 def _stage(grid, state_init, state_flux, dt, w_new, law, *, order, masses, solve):
@@ -158,12 +133,8 @@ def _stage(grid, state_init, state_flux, dt, w_new, law, *, order, masses, solve
     masses and momenta by name, Pi, the report and the largest wave speed.
     """
     W = GHOST_WIDTH
-    two_d = grid.ndim == 2
-
     mass_p = {m: state_flux.padded(grid, m, W) for m in ("rho", "Z")}
-    mom_p = {"q1": state_flux.padded(grid, "q1", W)}
-    if two_d:
-        mom_p["q2"] = state_flux.padded(grid, "q2", W)
+    mom_p = {qn: state_flux.padded(grid, qn, W) for _, _, qn in _axes(grid)}
 
     div_q = {name: np.zeros(grid.shape) for name in mom_p}
     div_d = {m: np.zeros(grid.shape) for m in masses}
@@ -179,8 +150,7 @@ def _stage(grid, state_init, state_flux, dt, w_new, law, *, order, masses, solve
         gl = ql * ql / rl + background_pressure(zl, law)
         gr = qr * qr / rr + background_pressure(zr, law)
         div_q[qn] += div_from_faces(rusanov_flux(gl, gr, c, ql, qr), axis, h)
-        if two_d:
-            qt = "q2" if qn == "q1" else "q1"
+        for qt in [t for t in mom_p if t != qn]:
             tl, tr = face_states(mom_p[qt], W, axis, order)
             flux_t = rusanov_flux(ql * tl / rl, qr * tr / rr, c, tl, tr)
             div_q[qt] += div_from_faces(flux_t, axis, h)
@@ -195,7 +165,7 @@ def _stage(grid, state_init, state_flux, dt, w_new, law, *, order, masses, solve
         dvals = dirichlet_values(grid, name) if grid.has_dirichlet else None
         r_p[name] = pad_field(grid, r, W, name, dvals)
 
-    pi_b = _pi_boundary(grid, law)
+    pi_b = singular_pressure(dirichlet_values(grid, "Z"), law) if grid.has_dirichlet else None
 
     def condense(m):
         a_p = mass_p[m] / mass_p["rho"]
@@ -327,11 +297,10 @@ def _advance(substep, state, dt, *, order, time_order, relaxation):
         subs = [half, full]
     new = subs[-1].state
     if relaxation is not None:
-        q = (new.q1,) if new.q2 is None else (new.q1, new.q2)
-        q = relaxation_update(q, new.rho, relaxation, dt)
-        new.q1 = q[0]
-        if new.q2 is not None:
-            new.q2 = q[1]
+        names = [n for n in ("q1", "q2") if getattr(new, n) is not None]
+        relaxed = relaxation_update([getattr(new, n) for n in names], new.rho, relaxation, dt)
+        for name, q in zip(names, relaxed):
+            setattr(new, name, q)
     return new, StepInfo(
         tuple(s.report for s in subs), switched,
         sum(s.clamps for s in subs), max(s.max_speed for s in subs),

@@ -20,16 +20,18 @@ last advection uses the relaxed velocity.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from congested_euler.elliptic import EllipticProblem, solve_newton
 from congested_euler.grid import (
-    Dirichlet,
     Grid,
     GridState,
     Periodic,
+    _shifted,
     dirichlet_values,
     pad_field,
 )
@@ -40,6 +42,8 @@ from congested_euler.scheme_conservative import (
     RelaxationConfig,
     SubstepResult,
     _advance,
+    _axes,
+    _offset,
     _stage,
     relaxation_update,
 )
@@ -90,71 +94,47 @@ def _foot_base(u, n: int, bc_pair):
     return base, u - base
 
 
-def _dirichlet_velocity(grid: Grid, name: str):
-    vals = np.full(4, np.nan)
-    for side, bc in enumerate(grid.boundaries):
-        if isinstance(bc, Dirichlet):
-            vals[side] = bc.value(name) / bc.rho
-    return vals
-
-
-def _upwind_slope(grid: Grid, v, kind: str, axis: int):
+def _upwind_slope(grid: Grid, v, kind: str, axis: int, h: float):
     """One-sided difference of a velocity component against its own sign."""
-    vb = _dirichlet_velocity(grid, kind) if grid.has_dirichlet else None
+    vb = dirichlet_values(grid, kind) / dirichlet_values(grid, "rho")
     vp = pad_field(grid, v, 1, kind, vb)
-    if grid.ndim == 1:
-        ctr, west, east = vp[1:-1], vp[:-2], vp[2:]
-        h = grid.dx
-    elif axis == 1:
-        ctr, west, east = vp[1:-1, 1:-1], vp[1:-1, :-2], vp[1:-1, 2:]
-        h = grid.dx
-    else:
-        ctr, west, east = vp[1:-1, 1:-1], vp[:-2, 1:-1], vp[2:, 1:-1]
-        h = grid.dy
+    ctr, west, east = (_shifted(grid, vp, 1, _offset(grid, axis, k)) for k in (0, -1, 1))
     return np.where(v > 0.0, (ctr - west) / h, (east - ctr) / h)
 
 
 def _foot_positions(grid: Grid, v, dt: float, cfg: SemiLagConfig, kind: str, axis: int, h: float):
-    """Continuous foot indices along one axis for every cell."""
+    """Continuous foot indices along one array axis for every cell."""
     disp = v * dt
     if cfg.time_order == 2:
-        a = _upwind_slope(grid, v, kind, axis)
+        a = _upwind_slope(grid, v, kind, axis, h)
         disp = v * dt - 0.5 * a * v * dt * dt
-    if grid.ndim == 1:
-        idx = np.arange(grid.nx, dtype=float)
-    elif axis == 1:
-        idx = np.broadcast_to(np.arange(grid.nx, dtype=float), grid.shape)
-    else:
-        idx = np.broadcast_to(np.arange(grid.ny, dtype=float)[:, None], grid.shape)
-    return idx - disp / h
+    return np.indices(grid.shape, dtype=float)[axis] - disp / h
 
 
 def semilag_advect(rho_star, velocity, dt: float, grid: Grid, cfg: SemiLagConfig):
-    """Trace characteristics backward and interpolate the congestion density."""
+    """Trace characteristics backward and interpolate the congestion density.
+
+    ``velocity`` holds one component per direction, x first; a bare array is
+    the 1D velocity.  The interpolation is the tensor product of the 1D
+    Lagrange stencils of each axis.
+    """
     r = cfg.r
     W = r + 1
     dvals = dirichlet_values(grid, "rho_star") if grid.has_dirichlet else None
     pad = pad_field(grid, rho_star, W, "scalar", dvals)
-    if grid.ndim == 1:
-        v1 = velocity[0] if isinstance(velocity, (tuple, list)) else velocity
-        u = _foot_positions(grid, v1, dt, cfg, "q1", 0, grid.dx)
-        base, theta = _foot_base(u, grid.nx, grid.bc_x)
-        weights = _lagrange_weights(theta, r)
-        out = np.zeros(grid.shape)
-        for k, wk in enumerate(weights):
-            out += wk * pad[base + (k - r) + W]
-        return out
-    v1, v2 = velocity
-    ux = _foot_positions(grid, v1, dt, cfg, "q1", 1, grid.dx)
-    uy = _foot_positions(grid, v2, dt, cfg, "q2", 0, grid.dy)
-    bx, tx = _foot_base(ux, grid.nx, grid.bc_x)
-    by, ty = _foot_base(uy, grid.ny, grid.bc_y)
-    wx = _lagrange_weights(tx, r)
-    wy = _lagrange_weights(ty, r)
+    if not isinstance(velocity, (tuple, list)):
+        velocity = (velocity,)
+    feet = []
+    for (axis, h, qn), v, bcs in zip(_axes(grid), velocity, grid.bcs):
+        u = _foot_positions(grid, v, dt, cfg, qn, axis, h)
+        base, theta = _foot_base(u, grid.shape[axis], bcs)
+        feet.append((base + W - r, _lagrange_weights(theta, r)))
+    # array-axis order, so the weights multiply as w_y * w_x
+    bases, weights = zip(*feet[::-1])
     out = np.zeros(grid.shape)
-    for ky, wky in enumerate(wy):
-        for kx, wkx in enumerate(wx):
-            out += wky * wkx * pad[by + (ky - r) + W, bx + (kx - r) + W]
+    for ks in itertools.product(range(2 * r + 2), repeat=grid.ndim):
+        w = math.prod(wt[k] for wt, k in zip(weights, ks))
+        out += w * pad[tuple(b + k for b, k in zip(bases, ks))]
     return out
 
 

@@ -16,6 +16,7 @@ from congested_euler.grid import (
     Dirichlet,
     Grid,
     GridState,
+    Periodic,
     Wall,
     total_mass,
 )
@@ -159,24 +160,52 @@ def test_mass_conservation_walled_box_2d():
     assert abs(total_mass(grid, state.Z) - m_z) <= 1e-12
 
 
-def test_y_invariant_2d_run_matches_1d_columns():
+SIDES = {"periodic": (Periodic(), Periodic()), "wall": (Wall(), Wall())}
+
+
+def embedded(grid1, state1, axis, width=8):
+    """``state1`` repeated over ``width`` lines of a 2D grid, varying along ``axis``.
+
+    Returns the grid, the state, and a map from a state on that grid to its
+    fields laid out and named as if ``axis`` were x.
+    """
+    if axis == "x":
+        grid2 = Grid(nx=grid1.nx, bc_x=grid1.bc_x, ny=width)
+        rename, lay = {}, np.asarray
+    else:
+        grid2 = Grid(nx=width, ny=grid1.nx, bc_y=grid1.bc_x)
+        rename, lay = {"q1": "q2", "q2": "q1"}, lambda f: np.ascontiguousarray(f.T)
+    names = ("rho", "q1", "Z", "rho_star")
+    tiled = {n: np.tile(getattr(state1, n), (width, 1)) for n in names}
+    tiled["q2"] = np.zeros_like(tiled["rho"])
+    state2 = GridState(**{rename.get(n, n): lay(f) for n, f in tiled.items()})
+
+    def as_x(state):
+        return {n: lay(getattr(state, rename.get(n, n))) for n in tiled}
+
+    return grid2, state2, as_x
+
+
+@pytest.mark.parametrize("sides", list(SIDES))
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_y_invariant_2d_run_matches_1d_columns(axis, sides):
     n = 24
-    grid1 = Grid(nx=n)
-    grid2 = Grid(nx=n, ny=8)
+    grid1 = Grid(nx=n, bc_x=SIDES[sides])
     state1 = smooth_state(grid1)
-    state2 = smooth_state(grid2)
+    grid2, state2, as_x = embedded(grid1, state1, axis)
     dt = 0.1 * grid1.dx
     for _ in range(8):
         state1, _ = sc.step(grid1, state1, dt, LAW, order=2)
         state2, _ = sc.step(grid2, state2, dt, LAW, order=2)
+    fields = as_x(state2)
     for name in ("rho", "q1", "Z"):
-        f2 = getattr(state2, name)
+        f2 = fields[name]
         f1 = getattr(state1, name)
         spread = np.max(np.abs(f2 - f2[0]))
         assert spread <= 1e-13, f"{name} rows drifted apart by {spread:.2e}"
         err = np.max(np.abs(f2[3] - f1))
         assert err <= 1e-12, f"{name} 2D/1D mismatch {err:.2e}"
-    assert np.max(np.abs(state2.q2)) <= 1e-13
+    assert np.max(np.abs(fields["q2"])) <= 1e-13
 
 
 def test_wall_reflection_keeps_mirror_symmetry():
