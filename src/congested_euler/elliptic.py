@@ -18,6 +18,13 @@ grid's fixed pattern for the stencil, and each linear stage only adds the
 Newton diagonal to -A: in one dimension the pattern's paths and cycles are
 solved by one tridiagonal solve with a rank-one correction per cycle, in two
 by a Jacobi-preconditioned conjugate gradient.
+
+The Newton iteration is inexact in 2D, with the forcing terms of Eisenstat
+and Walker (SIAM J. Sci. Comput. 17, 1996, choice 2): CG stops at a relative
+tolerance that follows the Newton convergence rate, 0.9 (r_k / r_{k-1})^2 in
+the max-norm residual, at most 0.1, and never looser than the last step
+needs to land on the exact-Newton root (see :func:`solve_newton`).  The 1D
+solves are direct.
 """
 
 from __future__ import annotations
@@ -32,8 +39,10 @@ from scipy.sparse.linalg import cg
 
 from congested_euler.grid import Grid, _shifted, pad_field
 
-# relative residual at which the 2D conjugate-gradient inner solve stops
+# tightest relative residual at which the 2D conjugate-gradient solve stops
 CG_RTOL = 1e-13
+# share of tol_abs that the linear residual of a Newton step may leave
+FORCING_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -53,12 +62,16 @@ class NewtonError(RuntimeError):
 
 
 class LinearSolveError(RuntimeError):
-    """A linear stage failed; carries the solver's info code and the diagonal range."""
+    """A linear stage failed; carries the solver's info code, the diagonal range
+    and, for CG, the relative tolerance it was asked for."""
 
-    def __init__(self, message: str, info: int, diagonal):
+    def __init__(self, message: str, info: int, diagonal, rtol: float | None = None):
         self.info, self.diag_min, self.diag_max = info, np.min(diagonal), np.max(diagonal)
+        self.rtol = rtol
+        tol = "" if rtol is None else f", rtol={rtol:.3e}"
         super().__init__(
-            f"{message} (info={info}, diagonal in [{self.diag_min:.3e}, {self.diag_max:.3e}])"
+            f"{message} (info={info}{tol}, "
+            f"diagonal in [{self.diag_min:.3e}, {self.diag_max:.3e}])"
         )
 
 
@@ -147,8 +160,13 @@ def _solve_cyclic_tridiagonal(d, lo, up, b, first, last):
     the cycles fill the tail of the layout, and at a cycle's ends ``lo`` and
     ``up`` couple its first and last positions to each other.  One
     tridiagonal solve with a second right-hand side gives each cycle the
-    rank-one correction that closes it.
+    rank-one correction that closes it; without cycles that solve is all.
     """
+    if first.size == 0:
+        *_, x, info = dgtsv(lo[1:], d, up[:-1], b)
+        if info != 0:
+            raise LinearSolveError("tridiagonal solve hit a zero pivot", info, d)
+        return x
     beta, gamma = lo[first], up[last]
     sigma = -d[first]
     dt = d.copy()
@@ -173,17 +191,21 @@ def _solve_cyclic_tridiagonal(d, lo, up, b, first, last):
     return y
 
 
-def _solve_linear(op: DiffusionOperator, fp, hp, b):
-    """Solve [diag(fp) - A diag(hp)] delta = b through the symmetrized form."""
+def _solve_linear(op: DiffusionOperator, fp, hp, b, rtol=CG_RTOL):
+    """Solve [diag(fp) - A diag(hp)] delta = b through the symmetrized form.
+
+    In 2D, CG stops once the residual is below ``rtol`` times ||b||_2; the 1D
+    solve is direct and ignores it.
+    """
     p = op.pattern
     d = fp / hp
     if op.grid.ndim == 2:
         S = op._negated().copy()
         S.data[p.diag] += d
         diag = S.data[p.diag]
-        x, info = cg(S, b, rtol=CG_RTOL, atol=0.0, M=sp.diags(1.0 / diag))
+        x, info = cg(S, b, rtol=rtol, atol=0.0, M=sp.diags(1.0 / diag))
         if info != 0:
-            raise LinearSolveError("inner pressure solve stalled in cg", info, diag)
+            raise LinearSolveError("inner pressure solve stalled in cg", info, diag, rtol)
         return x / hp
     dn, lo, up = op._negated()
     x = np.empty_like(d)
@@ -229,6 +251,13 @@ def solve_newton(
     field); ``iterate_hook`` sees each accepted iterate *before* clipping,
     which is where bound violations carry information.  Returns
     ``(u, NewtonReport)`` and raises :class:`NewtonError` when stuck.
+
+    Each linear stage is solved only as far as the next step can use: its
+    relative tolerance starts at max(CG_RTOL, c tol_abs / r_0) and, after
+    each accepted iterate, becomes 0.9 (r_k / r_{k-1})^2, raised to
+    0.9 eta_prev^2 when that exceeds 0.1, then clipped to
+    [max(c tol_abs / r_k, CG_RTOL), 0.1], with r the max-norm residual and
+    c = ``FORCING_FLOOR``.  Only the 2D CG solve reads it.
     """
     grid = problem.op.grid
     lo = None if lower is None else np.asarray(lower, dtype=float).ravel()
@@ -250,12 +279,13 @@ def solve_newton(
 
     stalls = 0
     recent = [res]
+    eta = max(CG_RTOL, FORCING_FLOOR * tol_abs / res)
     for it in range(1, max_iter + 1):
         fp = np.asarray(problem.fprime(u), dtype=float).ravel()
         hp = np.asarray(problem.hprime(u), dtype=float).ravel()
         if debug:
             _check_diagonal_dominance(problem, fp, hp)
-        delta = _solve_linear(problem.op, fp, hp, -F)
+        delta = _solve_linear(problem.op, fp, hp, -F, eta)
         if not np.all(np.isfinite(delta)):
             raise NewtonError("non-finite Newton step", NewtonReport(it, res, False))
         step = 1.0
@@ -283,6 +313,7 @@ def solve_newton(
                 stalls += 1
             if accepted is None or stalls > 50:
                 raise NewtonError("line search stalled", NewtonReport(it, res, False))
+        res_prev = res
         u_raw, u, F, res = accepted
         recent.append(res)
         del recent[:-10]
@@ -290,4 +321,9 @@ def solve_newton(
             iterate_hook(u_raw.reshape(grid.shape))
         if res <= tol_abs or res <= tol_rel * res0:
             return u.reshape(grid.shape), NewtonReport(it, res, True)
+        safeguard = 0.9 * eta**2
+        eta = 0.9 * (res / res_prev) ** 2
+        if safeguard > 0.1:
+            eta = max(eta, safeguard)
+        eta = min(0.1, max(eta, FORCING_FLOOR * tol_abs / res, CG_RTOL))
     raise NewtonError("no convergence", NewtonReport(max_iter, res, False))

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from congested_euler.elliptic import (
+    CG_RTOL,
     DiffusionOperator,
     EllipticProblem,
     LinearSolveError,
@@ -199,6 +200,69 @@ def test_cg_stall_raises_linear_solve_error(monkeypatch):
     diag = fp - A.diagonal()
     assert err.value.info == 7
     assert (err.value.diag_min, err.value.diag_max) == (diag.min(), diag.max())
+    assert err.value.rtol == CG_RTOL
+    assert f"rtol={CG_RTOL:.3e}" in str(err.value)
+
+
+def counting_cg(monkeypatch):
+    """Wrap ``elliptic.cg`` so each call appends its iteration count to a list."""
+    import congested_euler.elliptic as elliptic
+
+    real_cg, counts = elliptic.cg, []
+
+    def cg(S, b, **kw):
+        n = [0]
+        out = real_cg(S, b, callback=lambda xk: n.__setitem__(0, n[0] + 1), **kw)
+        counts.append(n[0])
+        return out
+
+    monkeypatch.setattr(elliptic, "cg", cg)
+    return counts
+
+
+@pytest.mark.parametrize("case", [4, 5, 6])
+def test_cg_stops_at_requested_tolerance(monkeypatch, case):
+    counts = counting_cg(monkeypatch)
+    op = make_operator(GRID_CASES[case])
+    A, _ = op.matrix()
+    rng = np.random.default_rng(case)
+    fp = 0.5 + rng.random(op.grid.size)
+    hp = 0.5 + rng.random(op.grid.size)
+    b = rng.standard_normal(op.grid.size)
+    x = _solve_linear(op, fp, hp, b, rtol=1e-4)
+    S = np.diag(fp / hp) - A.toarray()
+    assert np.linalg.norm(S @ (hp * x) - b) <= 1e-4 * np.linalg.norm(b)
+    _solve_linear(op, fp, hp, b)
+    assert counts[0] < counts[1]
+
+
+def test_forcing_reaches_exact_newton_root_with_fewer_cg_iterations(monkeypatch):
+    # zq's pressure map on congested data (Z in [0.9, 0.99]) over a walled
+    # room with an exit window
+    import congested_euler.elliptic as elliptic
+
+    law = PressureLaw(epsilon=1e-4, alpha=2.0, gamma=2.0)
+    rng = np.random.default_rng(3)
+    grid = Grid(nx=24, ny=20, bc_x=(Wall(), Wall()), bc_y=(OutflowWindow(0.3, 0.7), Wall()))
+    op = DiffusionOperator(grid, 2, stride2_terms(grid, 0.5 + rng.random(grid.shape), 1.0))
+    problem = pressure_problem(grid, op, 0.9 + 0.09 * rng.random(grid.size), law)
+    u0 = np.full(grid.shape, singular_pressure(0.5, law))
+    counts = counting_cg(monkeypatch)
+
+    u_inexact, inexact = solve_newton(problem, u0, lower=0.0)
+    inexact_cg = sum(counts)
+    counts.clear()
+    real = elliptic._solve_linear
+    monkeypatch.setattr(
+        elliptic, "_solve_linear",
+        lambda op, fp, hp, b, rtol=None: real(op, fp, hp, b, elliptic.CG_RTOL),
+    )
+    u_exact, exact = solve_newton(problem, u0, lower=0.0)
+
+    assert inexact.converged and exact.converged
+    assert inexact.iterations == exact.iterations
+    np.testing.assert_allclose(u_inexact, u_exact, rtol=0, atol=1e-12)
+    assert inexact_cg < sum(counts)
 
 
 @pytest.mark.parametrize("case", sorted(CHAIN_SHAPES))
