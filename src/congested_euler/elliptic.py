@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dgtsv
-from scipy.sparse.linalg import cg
+from scipy.sparse.linalg import LinearOperator, cg
 
 from congested_euler.grid import Grid, _shifted, pad_field
 
@@ -200,10 +200,16 @@ def _solve_linear(op: DiffusionOperator, fp, hp, b, rtol=CG_RTOL):
     p = op.pattern
     d = fp / hp
     if op.grid.ndim == 2:
-        S = op._negated().copy()
-        S.data[p.diag] += d
-        diag = S.data[p.diag]
-        x, info = cg(S, b, rtol=rtol, atol=0.0, M=sp.diags(1.0 / diag))
+        neg = op._negated()
+        data = neg.data.copy()
+        data[p.diag] += d
+        diag = data[p.diag]
+        # only the diagonal changes, so S shares -A's index arrays, and the
+        # Jacobi preconditioner is an elementwise product
+        S = sp.csr_matrix((data, neg.indices, neg.indptr), shape=neg.shape)
+        inv = 1.0 / diag
+        M = LinearOperator(S.shape, matvec=lambda v: inv * v, dtype=float)
+        x, info = cg(S, b, rtol=rtol, atol=0.0, M=M)
         if info != 0:
             raise LinearSolveError("inner pressure solve stalled in cg", info, diag, rtol)
         return x / hp

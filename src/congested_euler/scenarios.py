@@ -27,7 +27,6 @@ from .grid import (
 from .pressure import DomainError, PressureLaw
 from .riemann import PrimState
 from .scheme_conservative import RelaxationConfig
-from .scheme_semilag import SemiLagConfig
 
 _KINDS = ("riemann1d", "smooth1d", "collide2d", "evacuate2d")
 _PROFILES = ("constant", "linear", "step", "random")
@@ -237,8 +236,7 @@ def run_scenario(s: Scenario) -> ScenarioResult:
     if s.scheme == "zq":
         scheme, options = scheme_conservative, dict(time_order=s.time_order)
     else:
-        scheme = scheme_semilag
-        options = dict(slcfg=SemiLagConfig(r=s.sl_r, time_order=s.order))
+        scheme, options = scheme_semilag, dict(r=s.sl_r)
     options.update(order=s.order, relaxation=make_relaxation(s, grid))
     h_min = min(grid.spacing)
     cfl = None  # background CFL number of the last completed step

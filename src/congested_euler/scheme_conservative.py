@@ -12,14 +12,17 @@ and clamps both masses at a density floor.  Keeping the new pressure
 implicit keeps the admissible time step bounded away from zero as the
 stiffness parameter vanishes.
 
-Both schemes also share one time discretization, :func:`_advance`: one
-implicit substep at first order in time; at second order an implicit midpoint
-predictor and a corrector for the time-averaged pressure P = (pi_old +
-pi_new) / 2, redone with the implicit weighting when some cell would need
-pi_new < 0 (:class:`PressureSwitchTriggered`, congestion releasing into near
-vacuum).  It holds the only relaxation toward a desired velocity, after the
-finite-volume stage, and builds the :class:`StepInfo`.  Each ``step`` checks
-its orders and supplies the substep; here :func:`_substep` with pi_old = p(Z).
+Both schemes also share one time discretization, :func:`_advance`, the only
+place that knows the time weighting.  It hands every substep a pair
+(w, p_old): the stage's pressure unknown is P = p_old + w pi_new, with p_old
+= (1 - w) pi_old the explicit part.  First order in time is one implicit
+substep, (1, 0); second order an implicit midpoint predictor and a corrector
+for the time-averaged pressure, (1/2, p(Z) / 2), redone implicitly when some
+cell would need pi_new < 0 (:class:`PressureSwitchTriggered`, congestion
+releasing into near vacuum).  It holds the only relaxation toward a desired
+velocity, after the finite-volume stage, and builds the :class:`StepInfo`.
+Each scheme writes its pressure map once for any (w, p_old); here
+:func:`_substep` solves for P with Z((P - p_old) / w) as the map.
 """
 
 from __future__ import annotations
@@ -121,14 +124,15 @@ def _offset(grid: Grid, axis: int, k: int):
     return tuple([k if a == axis else 0 for a in range(grid.ndim)])
 
 
-def _stage(grid, state_init, state_flux, dt, w_new, law, *, order, masses, solve):
+def _stage(grid, state_init, state_flux, dt, w, law, *, order, masses, solve):
     """The condensed implicit stage that both schemes share.
 
     Rusanov fluxes at ``state_flux`` advance the momentum explicitly to mt,
     and the new momentum is q_new = mt - dt grad Pi.  Substituting it into
     the update of each mass m in ``masses`` ("Z" or "rho") leaves
     m_new = phi_m + L_m Pi, with phi_m explicit and L_m the stride-2 second
-    difference weighted by w_new dt^2 / (4 h^2) * m / rho.  ``solve(L, phi)``
+    difference weighted by w dt^2 / (4 h^2) * m / rho, where ``w`` weights
+    q_new against the initial momentum in the mass fluxes.  ``solve(L, phi)``
     of the first mass returns Pi and its Newton report.  Returns the new
     masses and momenta by name, Pi, the report and the largest wave speed.
     """
@@ -161,7 +165,7 @@ def _stage(grid, state_init, state_flux, dt, w_new, law, *, order, masses, solve
     mt = {name: getattr(state_init, name) - dt * div_q[name] for name in div_q}
     r_p = {}
     for name in mt:
-        r = (1.0 - w_new) * getattr(state_init, name) + w_new * mt[name]
+        r = (1.0 - w) * getattr(state_init, name) + w * mt[name]
         dvals = dirichlet_values(grid, name) if grid.has_dirichlet else None
         r_p[name] = pad_field(grid, r, W, name, dvals)
 
@@ -178,7 +182,7 @@ def _stage(grid, state_init, state_flux, dt, w_new, law, *, order, masses, solve
             phi -= dt * (
                 _shifted(grid, ar, W, east) - _shifted(grid, ar, W, west)
             ) / (2.0 * h)
-            s = w_new * dt * dt / (4.0 * h * h)
+            s = w * dt * dt / (4.0 * h * h)
             terms.append((_offset(grid, axis, 2), s * _shifted(grid, a_p, W, east)))
             terms.append((_offset(grid, axis, -2), s * _shifted(grid, a_p, W, west)))
         return DiffusionOperator(grid, W, terms, g_boundary=pi_b), phi
@@ -208,41 +212,30 @@ def _stage(grid, state_init, state_flux, dt, w_new, law, *, order, masses, solve
     return new, q_new, Pi, report, max_speed
 
 
-def _substep(grid, state_init, state_flux, dt, law, mode, *, order, pi_old=None):
+def _substep(grid, state_init, state_flux, dt, law, w, p_old, *, order):
     """One implicit-pressure update from ``state_init`` with fluxes at ``state_flux``.
 
-    ``mode`` selects the weight of the new pressure: "implicit" solves for
-    pi_new itself, "semi" for the average (pi_old + pi_new) / 2.  The
-    condensed unknown is that pressure, and Z = Z(pi) is the nonlinear map.
+    The condensed unknown is the pressure P = p_old + w pi_new, with ``w``
+    the weight of the new pressure and ``p_old`` the explicit part, so
+    Z = Z((P - p_old) / w) is the nonlinear map and P >= p_old its bound.
+    When w < 1 a raw Newton iterate below that bound raises
+    :class:`PressureSwitchTriggered`; at w = 1 it is only clipped.
     """
-    if mode not in ("implicit", "semi"):
-        raise ValueError(f"unknown substep mode {mode!r}")
-    w_new = 1.0 if mode == "implicit" else 0.5
-    if mode == "semi" and pi_old is None:
-        raise ValueError("semi mode needs the previous pressure field")
-
+    po = np.ravel(p_old)
     floor = inverse_slope_floor(law)
+    zmap = lambda u: singular_pressure_inverse((u - po) / w, law)
+    dzmap = lambda u: singular_pressure_inverse_deriv(
+        np.maximum((u - po) / w, floor), law
+    ) / w
+    u0 = p_old + w * singular_pressure(state_flux.Z, law)
     hook = None
-    if mode == "implicit":
-        zmap = lambda u: singular_pressure_inverse(u, law)
-        dzmap = lambda u: singular_pressure_inverse_deriv(np.maximum(u, floor), law)
-        lower = 0.0
-        u0 = singular_pressure(state_flux.Z, law)
-    else:
-        po = np.asarray(pi_old, dtype=float).ravel()
-        zmap = lambda u: singular_pressure_inverse(2.0 * u - po, law)
-        dzmap = lambda u: 2.0 * singular_pressure_inverse_deriv(
-            np.maximum(2.0 * u - po, floor), law
-        )
-        lower = 0.5 * po
-        u0 = 0.5 * (po + singular_pressure(state_flux.Z, law).ravel())
-        slack = 1e-13 * max(1.0, float(po.max()))
-        lb = lower.reshape(grid.shape)
+    if w < 1.0:
+        slack = 1e-13 * max(1.0, float(np.max(p_old)) / (1.0 - w))
 
         def hook(u_raw):
-            if np.any(u_raw < lb - slack):
+            if np.any(u_raw < p_old - slack):
                 raise PressureSwitchTriggered(
-                    "averaged pressure fell below pi_old / 2"
+                    "time-weighted pressure fell below its explicit part"
                 )
 
     def solve(op, phi):
@@ -254,10 +247,10 @@ def _substep(grid, state_init, state_flux, dt, law, mode, *, order, pi_old=None)
             h=lambda u: u,
             hprime=lambda u: np.ones_like(u),
         )
-        return solve_newton(problem, u0, lower=lower, iterate_hook=hook)
+        return solve_newton(problem, u0, lower=p_old, iterate_hook=hook)
 
     new, q_new, Pi, report, max_speed = _stage(
-        grid, state_init, state_flux, dt, w_new, law,
+        grid, state_init, state_flux, dt, w, law,
         order=order, masses=("Z", "rho"), solve=solve,
     )
     clamps = sum(int(np.count_nonzero(m < DENSITY_FLOOR)) for m in new.values())
@@ -273,27 +266,34 @@ def _substep(grid, state_init, state_flux, dt, law, mode, *, order, pi_old=None)
     return SubstepResult(state, Pi, report, clamps, max_speed)
 
 
-def _advance(substep, state, dt, *, order, time_order, relaxation):
+def _advance(substep, grid, state, dt, law, *, order, time_order, relaxation):
     """The time discretization both schemes share; returns ``(state, StepInfo)``.
 
-    ``substep(state_flux, dt, mode, order)`` runs one condensed stage from the
-    step's start state with fluxes at ``state_flux``.  ``time_order=1`` is one
-    implicit substep.  ``time_order=2`` is a midpoint predictor over dt / 2
-    and a corrector over dt with fluxes at the predictor state and the
-    time-averaged pressure, redone with the implicit weighting when the
-    corrector raises :class:`PressureSwitchTriggered`.  ``relaxation`` then
-    drags the momenta toward rho w, using the stage's density.
+    ``substep(grid, state, state_flux, dt, law, w, p_old, order=order)`` runs
+    one condensed stage from the step's start state with fluxes at
+    ``state_flux``, for the pressure P = p_old + w pi_new; this is the only
+    place that chooses ``(w, p_old)``.  ``time_order=1`` is one implicit
+    substep, (1, 0).  ``time_order=2`` is a midpoint predictor over dt / 2,
+    (1, 0), and a corrector over dt with fluxes at the predictor state and
+    the time-averaged pressure, (1/2, p(Z) / 2) with Z the start state's,
+    redone implicitly when the corrector raises
+    :class:`PressureSwitchTriggered`.  ``relaxation`` then drags the momenta
+    toward rho w, using the stage's density.
     """
+
+    def sub(state_flux, h, w, p_old):
+        return substep(grid, state, state_flux, h, law, w, p_old, order=order)
+
     switched = False
     if time_order == 1:
-        subs = [substep(state, dt, "implicit", order)]
+        subs = [sub(state, dt, 1.0, 0.0)]
     else:
-        half = substep(state, 0.5 * dt, "implicit", order)
+        half = sub(state, 0.5 * dt, 1.0, 0.0)
         try:
-            full = substep(half.state, dt, "semi", order)
+            full = sub(half.state, dt, 0.5, 0.5 * singular_pressure(state.Z, law))
         except PressureSwitchTriggered:
             switched = True
-            full = substep(half.state, dt, "implicit", order)
+            full = sub(half.state, dt, 1.0, 0.0)
         subs = [half, full]
     new = subs[-1].state
     if relaxation is not None:
@@ -322,12 +322,5 @@ def step(grid, state, dt, law, *, order=2, time_order=None, relaxation=None):
         time_order = order
     if order not in (1, 2) or time_order not in (1, 2) or time_order > order:
         raise ValueError(f"unsupported order pair ({order}, {time_order})")
-
-    def substep(state_flux, h, mode, sub_order):
-        pi_old = singular_pressure(state.Z, law) if mode == "semi" else None
-        return _substep(
-            grid, state, state_flux, h, law, mode, order=sub_order, pi_old=pi_old
-        )
-
-    return _advance(substep, state, dt, order=order, time_order=time_order,
-                    relaxation=relaxation)
+    return _advance(_substep, grid, state, dt, law, order=order,
+                    time_order=time_order, relaxation=relaxation)

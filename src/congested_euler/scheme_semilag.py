@@ -9,20 +9,23 @@ cell traces its foot backward through the velocity field and reads the old
 field through Lagrange interpolation on 2r + 2 neighboring nodes.
 
 The time discretization is :func:`scheme_conservative._advance`, shared with
-the conservative scheme: predictor, corrector, relaxation of the momentum
-toward rho times a desired velocity (evacuation runs) and the step's
-diagnostics.  This scheme supplies :func:`_fv_substep` against a frozen
-rho_star and the transport around it.  Second order combines MUSCL fluxes
-with Strang splitting that advects rho_star a half step on either side of
-the finite-volume stage; first order advects it a full step after it.  The
-last advection uses the relaxed velocity.
+the conservative scheme: it picks each substep's weight w of the new pressure
+and its explicit part p_old, and does the relaxation of the momentum toward
+rho times a desired velocity (evacuation runs) and the step's diagnostics.
+This scheme supplies :func:`_fv_substep`, whose pressure is
+P(rho) = p_old + w pi(rho / rho_star) against a frozen rho_star, and the
+transport around it.  Second order combines MUSCL fluxes with Strang
+splitting that advects rho_star a half step on either side of the
+finite-volume stage, backtracking by a second-order Taylor step; first order
+advects it a full step after it by Euler backtracking.  The last advection
+uses the relaxed velocity.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -51,20 +54,6 @@ from congested_euler.scheme_conservative import (
 # Newton iterates and the projected density stay below this fraction of
 # rho_star so the pressure law is always evaluated inside its domain.
 CONGESTION_GUARD = 1e-10
-
-
-@dataclass(frozen=True)
-class SemiLagConfig:
-    """Interpolation half-width r in {0, 1} and backtracking order in {1, 2}."""
-
-    r: int = 1
-    time_order: int = 1
-
-    def __post_init__(self):
-        if self.r not in (0, 1):
-            raise ValueError(f"interpolation half-width must be 0 or 1, got {self.r}")
-        if self.time_order not in (1, 2):
-            raise ValueError(f"backtracking order must be 1 or 2, got {self.time_order}")
 
 
 def _lagrange_weights(theta, r: int):
@@ -102,23 +91,27 @@ def _upwind_slope(grid: Grid, v, kind: str, axis: int, h: float):
     return np.where(v > 0.0, (ctr - west) / h, (east - ctr) / h)
 
 
-def _foot_positions(grid: Grid, v, dt: float, cfg: SemiLagConfig, kind: str, axis: int, h: float):
+def _foot_positions(grid: Grid, v, dt: float, order: int, kind: str, axis: int, h: float):
     """Continuous foot indices along one array axis for every cell."""
     disp = v * dt
-    if cfg.time_order == 2:
+    if order == 2:
         a = _upwind_slope(grid, v, kind, axis, h)
         disp = v * dt - 0.5 * a * v * dt * dt
     return np.indices(grid.shape, dtype=float)[axis] - disp / h
 
 
-def semilag_advect(rho_star, velocity, dt: float, grid: Grid, cfg: SemiLagConfig):
+def semilag_advect(rho_star, velocity, dt: float, grid: Grid, r: int, order: int):
     """Trace characteristics backward and interpolate the congestion density.
 
     ``velocity`` holds one component per direction, x first; a bare array is
-    the 1D velocity.  The interpolation is the tensor product of the 1D
-    Lagrange stencils of each axis.
+    the 1D velocity.  ``order`` 1 backtracks by Euler, 2 by a Taylor step
+    with the upwind velocity slope.  The interpolation is the tensor product
+    of the 1D Lagrange stencils of half-width ``r`` in {0, 1} on each axis.
     """
-    r = cfg.r
+    if r not in (0, 1) or order not in (1, 2):
+        raise ValueError(
+            f"need half-width r in {{0, 1}} and backtracking order in {{1, 2}}, got {r}, {order}"
+        )
     W = r + 1
     dvals = dirichlet_values(grid, "rho_star") if grid.has_dirichlet else None
     pad = pad_field(grid, rho_star, W, "scalar", dvals)
@@ -126,7 +119,7 @@ def semilag_advect(rho_star, velocity, dt: float, grid: Grid, cfg: SemiLagConfig
         velocity = (velocity,)
     feet = []
     for (axis, h, qn), v, bcs in zip(_axes(grid), velocity, grid.bcs):
-        u = _foot_positions(grid, v, dt, cfg, qn, axis, h)
+        u = _foot_positions(grid, v, dt, order, qn, axis, h)
         base, theta = _foot_base(u, grid.shape[axis], bcs)
         feet.append((base + W - r, _lagrange_weights(theta, r)))
     # array-axis order, so the weights multiply as w_y * w_x
@@ -152,27 +145,19 @@ def _project_density(rho, rho_star, q1, q2, time):
     return state, clamps
 
 
-def _fv_substep(grid, state_init, state_flux, rho_star, dt, law, mode, *, order):
+def _fv_substep(grid, state_init, state_flux, dt, law, w, p_old, *, order):
     """One congestion-implicit update of (rho, q) against a frozen rho_star.
 
-    ``mode`` selects the weight of the new pressure: "implicit" applies
-    pi(rho_new / rho_star) in full, "semi" the average with the pressure of
-    the initial density.  The condensed elliptic unknown is the new density.
+    The stage's pressure is P(rho_new) = p_old + w pi(rho_new / rho_star),
+    with ``w`` the weight of the new pressure and ``p_old`` the explicit
+    part; rho_star is ``state_init``'s.  The condensed elliptic unknown is
+    the new density.
     """
-    if mode not in ("implicit", "semi"):
-        raise ValueError(f"unknown substep mode {mode!r}")
-    w_new = 1.0 if mode == "implicit" else 0.5
-    rs = np.asarray(rho_star, dtype=float).ravel()
+    rs = state_init.rho_star.ravel()
+    po = np.ravel(p_old)
     ceiling = (1.0 - CONGESTION_GUARD) * rs
-    if mode == "implicit":
-        pmap = lambda u: singular_pressure(u / rs, law)
-        dpmap = lambda u: singular_pressure_deriv(u / rs, law) / rs
-    else:
-        po = singular_pressure(
-            np.minimum(state_init.rho.ravel(), ceiling) / rs, law
-        )
-        pmap = lambda u: 0.5 * (po + singular_pressure(u / rs, law))
-        dpmap = lambda u: 0.5 * singular_pressure_deriv(u / rs, law) / rs
+    pmap = lambda u: po + w * singular_pressure(u / rs, law)
+    dpmap = lambda u: w * singular_pressure_deriv(u / rs, law) / rs
 
     def solve(op, phi):
         problem = EllipticProblem(
@@ -189,42 +174,35 @@ def _fv_substep(grid, state_init, state_flux, rho_star, dt, law, mode, *, order)
         return pmap(rho_u.ravel()).reshape(grid.shape), report
 
     new, q_new, Pi, report, max_speed = _stage(
-        grid, state_init, state_flux, dt, w_new, law,
+        grid, state_init, state_flux, dt, w, law,
         order=order, masses=("rho",), solve=solve,
     )
     state, clamps = _project_density(
-        new["rho"], rs.reshape(grid.shape), q_new["q1"], q_new.get("q2"),
+        new["rho"], state_init.rho_star, q_new["q1"], q_new.get("q2"),
         state_init.time + dt,
     )
     return SubstepResult(state, Pi, report, clamps, max_speed)
 
 
-def step(grid, state, dt, law, *, order=2, slcfg=None, relaxation=None):
+def step(grid, state, dt, law, *, order=2, r=1, relaxation=None):
     """Advance one time step; returns ``(new_state, StepInfo)``.
 
     ``order=1`` runs the fully implicit donor-cell stage and then advects
     rho_star with the updated velocity.  ``order=2`` wraps the midpoint
     predictor and time-averaged corrector between two half-step advections
-    of rho_star.  ``relaxation`` drags momentum toward rho w after the
-    finite-volume stage, before the last advection.
+    of rho_star.  The advection backtracks at the same ``order`` and
+    interpolates with stencil half-width ``r``.  ``relaxation`` drags
+    momentum toward rho w after the finite-volume stage, before the last
+    advection.
     """
     if order not in (1, 2):
         raise ValueError(f"unsupported order {order}")
-    if slcfg is None:
-        slcfg = SemiLagConfig(r=1, time_order=order)
     st0, clamps0 = state, 0
     if order == 2:
-        rs = semilag_advect(state.rho_star, state.velocity, 0.5 * dt, grid, slcfg)
+        rs = semilag_advect(state.rho_star, state.velocity, 0.5 * dt, grid, r, order)
         st0, clamps0 = _project_density(state.rho, rs, state.q1, state.q2, state.time)
-
-    def substep(state_flux, h, mode, sub_order):
-        return _fv_substep(
-            grid, st0, state_flux, st0.rho_star, h, law, mode, order=sub_order
-        )
-
-    fv, info = _advance(
-        substep, st0, dt, order=order, time_order=order, relaxation=relaxation
-    )
-    rs = semilag_advect(st0.rho_star, fv.velocity, dt / order, grid, slcfg)
+    fv, info = _advance(_fv_substep, grid, st0, dt, law, order=order,
+                        time_order=order, relaxation=relaxation)
+    rs = semilag_advect(st0.rho_star, fv.velocity, dt / order, grid, r, order)
     out, clamps = _project_density(fv.rho, rs, fv.q1, fv.q2, fv.time)
     return out, replace(info, clamps=clamps0 + info.clamps + clamps)

@@ -88,21 +88,28 @@ def test_constant_state_is_a_fixed_point(order, ndim):
     assert not info.switched
 
 
-@pytest.mark.parametrize("mode,w_new", [("implicit", 1.0), ("semi", 0.5)])
+# (w, share of pi_old in p_old): the implicit substep and the corrector
+WEIGHTS = [
+    pytest.param(1.0, 0.0, id="implicit-1.0"),
+    pytest.param(0.5, 0.5, id="semi-0.5"),
+]
+
+
+@pytest.mark.parametrize("w_new,old_share", WEIGHTS)
 @pytest.mark.parametrize("order", [1, 2])
-def test_periodic_substep_matches_flux_route(mode, w_new, order):
+def test_periodic_substep_matches_flux_route(w_new, old_share, order):
     grid = Grid(nx=32)
     state = smooth_state(grid)
     dt = 0.1 * grid.dx
-    pi_old = singular_pressure(state.Z, LAW) if mode == "semi" else None
-    res = sc._substep(grid, state, state, dt, LAW, mode, order=order, pi_old=pi_old)
+    p_old = old_share * singular_pressure(state.Z, LAW)
+    res = sc._substep(grid, state, state, dt, LAW, w_new, p_old, order=order)
     rho_o, q_o, Z_o = roll_substep(grid, state, state, dt, LAW, res.pi, w_new, order)
     np.testing.assert_allclose(res.state.rho, rho_o, rtol=0, atol=1e-13)
     np.testing.assert_allclose(res.state.q1, q_o, rtol=0, atol=1e-13)
     np.testing.assert_allclose(res.state.Z, Z_o, rtol=0, atol=1e-13)
     # The condensed update equals the pressure-law value up to the Newton
     # stopping residual.
-    if mode == "implicit":
+    if w_new == 1.0:
         from congested_euler.pressure import singular_pressure_inverse
 
         np.testing.assert_allclose(
@@ -114,11 +121,9 @@ def test_corrector_uses_distinct_flux_state():
     grid = Grid(nx=32)
     state = smooth_state(grid)
     dt = 0.1 * grid.dx
-    half = sc._substep(grid, state, state, 0.5 * dt, LAW, "implicit", order=2)
-    pi_old = singular_pressure(state.Z, LAW)
-    res = sc._substep(
-        grid, state, half.state, dt, LAW, "semi", order=2, pi_old=pi_old
-    )
+    half = sc._substep(grid, state, state, 0.5 * dt, LAW, 1.0, 0.0, order=2)
+    p_old = 0.5 * singular_pressure(state.Z, LAW)
+    res = sc._substep(grid, state, half.state, dt, LAW, 0.5, p_old, order=2)
     rho_o, q_o, Z_o = roll_substep(
         grid, state, half.state, dt, LAW, res.pi, 0.5, 2
     )
@@ -290,15 +295,38 @@ def test_pressure_switch_triggers_on_violent_release():
     rho[16] = 0.999
     state = GridState.from_primitives(grid, rho, 0.0, 1.0)
     dt = 0.1 * grid.dx
-    half = sc._substep(grid, state, state, 0.5 * dt, LAW, "implicit", order=2)
-    pi_old = singular_pressure(state.Z, LAW)
+    half = sc._substep(grid, state, state, 0.5 * dt, LAW, 1.0, 0.0, order=2)
+    p_old = 0.5 * singular_pressure(state.Z, LAW)
     with pytest.raises(sc.PressureSwitchTriggered):
-        sc._substep(
-            grid, state, half.state, dt, LAW, "semi", order=2, pi_old=pi_old
-        )
+        sc._substep(grid, state, half.state, dt, LAW, 0.5, p_old, order=2)
     new, info = sc.step(grid, state, dt, LAW, order=2)
     assert info.switched
     assert np.all(np.isfinite(new.rho)) and np.all(new.Z < 1.0)
+
+
+def test_implicit_substep_clips_negative_iterates_without_switching(monkeypatch):
+    # The same release at the implicit weight: the raw Newton iterates
+    # overshoot below P = 0, and with w = 1 that bound is only a clip, so
+    # no pressure-switch hook is armed and the substep completes.
+    grid = Grid(nx=32)
+    rho = np.full(32, 0.2)
+    rho[16] = 0.999
+    state = GridState.from_primitives(grid, rho, 0.0, 1.0)
+    dt = 0.1 * grid.dx
+    hooks, lows = [], []
+    newton = sc.solve_newton
+
+    def spy(problem, u0, *, iterate_hook, **kwargs):
+        hooks.append(iterate_hook)
+        record = lambda u_raw: lows.append(float(u_raw.min()))
+        return newton(problem, u0, iterate_hook=record, **kwargs)
+
+    monkeypatch.setattr(sc, "solve_newton", spy)
+    res = sc._substep(grid, state, state, dt, LAW, 1.0, 0.0, order=2)
+    assert hooks == [None]
+    assert min(lows) < 0.0
+    assert res.report.converged and np.all(res.pi >= 0.0)
+    assert np.all(np.isfinite(res.state.rho)) and np.all(res.state.Z < 1.0)
 
 
 def test_smooth_run_never_switches():
@@ -367,7 +395,7 @@ def test_space_only_second_order_is_one_implicit_substep():
     state = smooth_state(grid, base_rho=0.7, amp=0.1)
     dt = 0.1 * grid.dx
     new, info = sc.step(grid, state, dt, LAW, order=2, time_order=1)
-    want = sc._substep(grid, state, state, dt, LAW, "implicit", order=2)
+    want = sc._substep(grid, state, state, dt, LAW, 1.0, 0.0, order=2)
     assert np.array_equal(new.rho, want.state.rho)
     assert np.array_equal(new.q1, want.state.q1)
     assert np.array_equal(new.Z, want.state.Z)

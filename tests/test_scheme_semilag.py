@@ -49,9 +49,8 @@ def test_lagrange_nodal_queries_return_nodal_values():
     values = 0.5 + rng.random(16)
     v = np.ones(16)
     for r in (0, 1):
-        cfg = sl.SemiLagConfig(r=r, time_order=1)
         for k in (1, 5):
-            out = sl.semilag_advect(values, v, k * grid.dx, grid, cfg)
+            out = sl.semilag_advect(values, v, k * grid.dx, grid, r=r, order=1)
             for i in (0, 5, 15):
                 assert out[i] == pytest.approx(values[(i - k) % 16], abs=1e-15)
 
@@ -60,10 +59,9 @@ def test_lagrange_r1_reproduces_cubics():
     grid = Grid(nx=32)
     xs = grid.centers_x
     poly = lambda x: 2.0 - x + 3.0 * x**2 - 1.5 * x**3
-    cfg = sl.SemiLagConfig(r=1, time_order=1)
     for shift in (0.213, 0.5, 0.731):
         dt = shift * grid.dx
-        got = sl.semilag_advect(poly(xs), np.ones(32), dt, grid, cfg)
+        got = sl.semilag_advect(poly(xs), np.ones(32), dt, grid, r=1, order=1)
         # periodic wrap breaks the polynomial at the seam; check inside
         np.testing.assert_allclose(got[3:-3], poly(xs - dt)[3:-3], rtol=0, atol=1e-12)
 
@@ -71,16 +69,15 @@ def test_lagrange_r1_reproduces_cubics():
 def test_lagrange_r0_linear_exact_quadratic_second_order():
     # Linear interpolation of x^2 at the midpoint of a cell pair errs by
     # exactly theta (1 - theta) dx^2 = dx^2 / 4.
-    cfg = sl.SemiLagConfig(r=0, time_order=1)
     for n in (32, 64):
         grid = Grid(nx=n)
         xs = grid.centers_x
         dt = 0.5 * grid.dx  # theta = 1/2 at unit velocity
         x_mid = (xs - dt)[3:-3]
         v = np.ones(n)
-        err = np.abs(sl.semilag_advect(xs**2, v, dt, grid, cfg)[3:-3] - x_mid**2)
+        err = np.abs(sl.semilag_advect(xs**2, v, dt, grid, r=0, order=1)[3:-3] - x_mid**2)
         np.testing.assert_allclose(err, 0.25 * grid.dx**2, rtol=1e-12, atol=0)
-        got = sl.semilag_advect(0.7 - 0.3 * xs, v, dt, grid, cfg)[3:-3]
+        got = sl.semilag_advect(0.7 - 0.3 * xs, v, dt, grid, r=0, order=1)[3:-3]
         np.testing.assert_allclose(got, 0.7 - 0.3 * x_mid, rtol=0, atol=1e-14)
 
 
@@ -89,8 +86,7 @@ def test_semilag_zero_velocity_is_identity():
     rng = np.random.default_rng(7)
     field = 1.0 + rng.random(20)
     for r in (0, 1):
-        cfg = sl.SemiLagConfig(r=r, time_order=1)
-        out = sl.semilag_advect(field, np.zeros(20), 0.01, grid, cfg)
+        out = sl.semilag_advect(field, np.zeros(20), 0.01, grid, r=r, order=1)
         np.testing.assert_array_equal(out, field)
 
 
@@ -101,8 +97,7 @@ def test_semilag_constant_velocity_shifts_linear_data():
     v = np.full(32, 0.37)
     dt = 0.01
     for r in (0, 1):
-        cfg = sl.SemiLagConfig(r=r, time_order=1)
-        out = sl.semilag_advect(field, v, dt, grid, cfg)
+        out = sl.semilag_advect(field, v, dt, grid, r=r, order=1)
         expected = 2.0 + 0.3 * (x - 0.37 * dt)
         # periodic wrap corrupts the seam cells; linear data is exact inside
         np.testing.assert_allclose(out[3:-3], expected[3:-3], rtol=0, atol=1e-14)
@@ -116,8 +111,7 @@ def test_semilag_integer_cfl_shift_is_exact():
     dt = 3.0 * grid.dx / 3.0
     for r in (0, 1):
         for time_order in (1, 2):
-            cfg = sl.SemiLagConfig(r=r, time_order=time_order)
-            out = sl.semilag_advect(field, v, dt, grid, cfg)
+            out = sl.semilag_advect(field, v, dt, grid, r=r, order=time_order)
             np.testing.assert_allclose(out, np.roll(field, 3), rtol=0, atol=1e-13)
 
 
@@ -132,12 +126,11 @@ def test_taylor_backtrack_beats_euler_on_linear_velocity():
     window = slice(64, -64)
     errs = {}
     for time_order in (1, 2):
-        cfg = sl.SemiLagConfig(r=1, time_order=time_order)
         errs[time_order] = []
         for dt in (0.02, 0.01):
             foot = x * np.exp(-0.8 * dt)
             exact = 1.5 + np.exp(-(((foot - 0.45) / 0.1) ** 2))
-            out = sl.semilag_advect(field, v, dt, grid, cfg)
+            out = sl.semilag_advect(field, v, dt, grid, r=1, order=time_order)
             errs[time_order].append(float(np.max(np.abs(out - exact)[window])))
     s1 = np.log2(errs[1][0] / errs[1][1])
     s2 = np.log2(errs[2][0] / errs[2][1])
@@ -157,17 +150,18 @@ def test_donor_interpolation_is_monotone(seed, scale, time_order):
     rng = np.random.default_rng(seed)
     field = 0.3 + 1.7 * rng.random(24)
     v = scale * (2.0 * rng.random(24) - 1.0)
-    cfg = sl.SemiLagConfig(r=0, time_order=time_order)
-    out = sl.semilag_advect(field, v, 0.1 * grid.dx * scale, grid, cfg)
+    out = sl.semilag_advect(field, v, 0.1 * grid.dx * scale, grid, r=0, order=time_order)
     assert np.all(out >= field.min() - 1e-12)
     assert np.all(out <= field.max() + 1e-12)
 
 
 def test_semilag_config_validation():
+    grid = Grid(nx=8)
+    field, v = np.ones(8), np.zeros(8)
     with pytest.raises(ValueError):
-        sl.SemiLagConfig(r=2, time_order=1)
+        sl.semilag_advect(field, v, 0.01, grid, r=2, order=1)
     with pytest.raises(ValueError):
-        sl.SemiLagConfig(r=1, time_order=3)
+        sl.semilag_advect(field, v, 0.01, grid, r=1, order=3)
 
 
 # ---------------------------------------------------------------- relaxation
@@ -254,21 +248,27 @@ def roll_fv_substep(grid, st_init, st_flux, dt, law, pi, w_new, order):
     return rho_new, q_new
 
 
-@pytest.mark.parametrize("mode,w_new", [("implicit", 1.0), ("semi", 0.5)])
+# (w, share of pi_old in p_old): the implicit substep and the corrector
+WEIGHTS = [
+    pytest.param(1.0, 0.0, id="implicit-1.0"),
+    pytest.param(0.5, 0.5, id="semi-0.5"),
+]
+
+
+@pytest.mark.parametrize("w_new,old_share", WEIGHTS)
 @pytest.mark.parametrize("order", [1, 2])
-def test_periodic_fv_substep_matches_flux_route(mode, w_new, order):
+def test_periodic_fv_substep_matches_flux_route(w_new, old_share, order):
     grid = Grid(nx=32)
     state = smooth_state(grid)
     dt = 0.1 * grid.dx
-    res = sl._fv_substep(
-        grid, state, state, state.rho_star, dt, LAW, mode, order=order
-    )
+    p_old = old_share * singular_pressure(state.Z, LAW)
+    res = sl._fv_substep(grid, state, state, dt, LAW, w_new, p_old, order=order)
     rho_o, q_o = roll_fv_substep(grid, state, state, dt, LAW, res.pi, w_new, order)
     np.testing.assert_allclose(res.state.rho, rho_o, rtol=0, atol=1e-13)
     np.testing.assert_allclose(res.state.q1, q_o, rtol=0, atol=1e-13)
     # reported pressure is consistent with the law at the updated density
     pi_new = singular_pressure(res.state.rho / state.rho_star, LAW)
-    if mode == "implicit":
+    if w_new == 1.0:
         np.testing.assert_allclose(res.pi, pi_new, rtol=0, atol=2e-10)
     else:
         po = singular_pressure(state.rho / state.rho_star, LAW)
@@ -279,12 +279,9 @@ def test_corrector_uses_distinct_flux_state():
     grid = Grid(nx=32)
     state = smooth_state(grid)
     dt = 0.1 * grid.dx
-    half = sl._fv_substep(
-        grid, state, state, state.rho_star, 0.5 * dt, LAW, "implicit", order=2
-    )
-    res = sl._fv_substep(
-        grid, state, half.state, state.rho_star, dt, LAW, "semi", order=2
-    )
+    half = sl._fv_substep(grid, state, state, 0.5 * dt, LAW, 1.0, 0.0, order=2)
+    p_old = 0.5 * singular_pressure(state.Z, LAW)
+    res = sl._fv_substep(grid, state, half.state, dt, LAW, 0.5, p_old, order=2)
     rho_o, q_o = roll_fv_substep(grid, state, half.state, dt, LAW, res.pi, 0.5, 2)
     np.testing.assert_allclose(res.state.rho, rho_o, rtol=0, atol=1e-13)
     np.testing.assert_allclose(res.state.q1, q_o, rtol=0, atol=1e-13)
@@ -299,10 +296,12 @@ UNIT_CAPACITY_GRIDS = [
 ]
 
 
-@pytest.mark.parametrize("mode", ["implicit", "semi"])
+@pytest.mark.parametrize(
+    "w,old_share", [pytest.param(1.0, 0.0, id="implicit"), pytest.param(0.5, 0.5, id="semi")]
+)
 @pytest.mark.parametrize("order", [1, 2])
 @pytest.mark.parametrize("grid", UNIT_CAPACITY_GRIDS)
-def test_substeps_of_both_schemes_agree_at_unit_capacity(grid, order, mode):
+def test_substeps_of_both_schemes_agree_at_unit_capacity(grid, order, w, old_share):
     # With rho* = 1 the Z and rho unknowns coincide, so both substeps solve
     # the same condensed system, boundary ghosts included.
     rng = np.random.default_rng(17)
@@ -311,9 +310,9 @@ def test_substeps_of_both_schemes_agree_at_unit_capacity(grid, order, mode):
     v2 = 0.3 * rng.standard_normal(grid.shape) if grid.ndim == 2 else None
     state = GridState.from_primitives(grid, rho, v1, 1.0, v2)
     dt = 0.1 * grid.dx
-    pi_old = singular_pressure(state.Z, LAW) if mode == "semi" else None
-    a = zq._substep(grid, state, state, dt, LAW, mode, order=order, pi_old=pi_old)
-    b = sl._fv_substep(grid, state, state, state.rho_star, dt, LAW, mode, order=order)
+    p_old = old_share * singular_pressure(state.Z, LAW)
+    a = zq._substep(grid, state, state, dt, LAW, w, p_old, order=order)
+    b = sl._fv_substep(grid, state, state, dt, LAW, w, p_old, order=order)
     for name in ("rho", "q1", "q2", "Z", "rho_star"):
         got, want = getattr(a.state, name), getattr(b.state, name)
         if want is None:
