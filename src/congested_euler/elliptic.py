@@ -14,10 +14,12 @@ explicit stencils.
 
 Newton with projection onto box bounds and residual line search solves the
 system.  The coupling matrix A is assembled once per operator into the
-grid's fixed pattern for the stencil, and each linear stage only adds the
-Newton diagonal to -A: in one dimension the pattern's paths and cycles are
-solved by one tridiagonal solve with a rank-one correction per cycle, in two
-by a Jacobi-preconditioned conjugate gradient.
+grid's fixed pattern for the stencil, and each linear stage only sets the
+Newton diagonal of -A.  -A is a weighted graph Laplacian and the Newton
+diagonal is positive, so every linear stage is symmetric positive definite:
+in one dimension the pattern's paths and cycles are solved by one LDL^T
+factorization (LAPACK ptsv) with a rank-one correction per cycle, in two by a
+Jacobi-preconditioned conjugate gradient.
 
 The Newton iteration is inexact in 2D, with the forcing terms of Eisenstat
 and Walker (SIAM J. Sci. Comput. 17, 1996, choice 2): CG stops at a relative
@@ -34,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dptsv
 from scipy.sparse.linalg import LinearOperator, cg
 
 from congested_euler.grid import Grid, _shifted, pad_field
@@ -120,15 +122,18 @@ class DiffusionOperator:
         return self._built
 
     def _negated(self):
-        """-A as the linear stage takes it: CSR in 2D, chain (diagonal, lo, up) in 1D."""
+        """(diagonal, coupling) of -A as the linear stage takes it: in 2D the
+        diagonal and -A in CSR, whose diagonal each stage overwrites; in 1D the
+        diagonal and the ``up`` couplings in chain order (A is symmetric)."""
         if self._neg is None:
             A, _ = self.matrix()
+            p = self.pattern
             if self.grid.ndim == 2:
-                self._neg = -A
+                S = -A
+                self._neg = (S.data[p.diag], S)
             else:
-                p = self.pattern
                 neg = np.append(-A.data, 0.0)
-                self._neg = (neg[p.diag[p.order]], neg[p.lo], neg[p.up])
+                self._neg = (neg[p.diag[p.order]], neg[p.up])
         return self._neg
 
 
@@ -152,42 +157,42 @@ class EllipticProblem:
         return self.f(u) - (A @ self.h(u) + b) - np.asarray(self.rhs, float).ravel()
 
 
-def _solve_cyclic_tridiagonal(d, lo, up, b, first, last):
-    """Solve tridiagonal chains laid end to end, the tail of them closed into cycles.
+def _solve_cyclic_tridiagonal(d, up, b, first, last):
+    """Solve positive-definite tridiagonal chains laid end to end, the tail of
+    them closed into cycles.
 
-    ``lo[p]`` couples position p to p-1 and ``up[p]`` to p+1; both are 0 at
-    the ends of an open chain.  Cycle j runs over positions first[j]..last[j],
-    the cycles fill the tail of the layout, and at a cycle's ends ``lo`` and
-    ``up`` couple its first and last positions to each other.  One
-    tridiagonal solve with a second right-hand side gives each cycle the
-    rank-one correction that closes it; without cycles that solve is all.
+    ``up[p]`` couples position p to p+1, both ways, and is 0 at the end of an
+    open chain.  Cycle j runs over positions first[j]..last[j], the cycles
+    fill the tail of the layout, and ``up[last[j]]`` couples the cycle's last
+    position to its first.  Cutting each cycle there, doubling its first
+    diagonal entry and adding c^2/d_first to its last (c the cut coupling)
+    leaves a positive-definite tridiagonal matrix; one LDL^T solve (LAPACK
+    ptsv) with a second right-hand side gives each cycle the rank-one
+    correction that closes it.  Without cycles that solve is all.
     """
-    if first.size == 0:
-        *_, x, info = dgtsv(lo[1:], d, up[:-1], b)
-        if info != 0:
-            raise LinearSolveError("tridiagonal solve hit a zero pivot", info, d)
-        return x
-    beta, gamma = lo[first], up[last]
-    sigma = -d[first]
-    dt = d.copy()
-    dt[first] -= sigma
-    dt[last] -= gamma * beta / sigma
-    lo, up = lo.copy(), up.copy()
-    lo[first] = 0.0
-    up[last] = 0.0
-    rhs = np.zeros((d.size, 2))
+    cyclic = first.size > 0
+    # Fortran order, so that ptsv works in place on both right-hand sides
+    rhs = np.zeros((d.size, 1 + cyclic), order="F")
     rhs[:, 0] = b
-    rhs[first, 1] = sigma
-    rhs[last, 1] = gamma
-    *_, sol, info = dgtsv(lo[1:], dt, up[:-1], rhs, overwrite_d=1, overwrite_b=1)
+    dt, e = d.copy(), up.copy()
+    e[last] = 0.0
+    if cyclic:
+        c, sigma = up[last], -d[first]
+        dt[first] -= sigma
+        dt[last] -= c * c / sigma
+        rhs[first, 1] = sigma
+        rhs[last, 1] = c
+    *_, sol, info = dptsv(dt, e[:-1], rhs, overwrite_d=1, overwrite_e=1, overwrite_b=1)
     if info != 0:
-        raise LinearSolveError("tridiagonal solve hit a zero pivot", info, d)
-    y, z = sol[:, 0], sol[:, 1]
-    frac = beta / sigma
-    scale = (y[first] + frac * y[last]) / (1.0 + z[first] + frac * z[last])
-    sizes = last - first + 1
-    tail = d.size - sizes.sum()
-    y[tail:] -= z[tail:] * np.repeat(scale, sizes)
+        msg = f"tridiagonal system not positive definite at chain position {info - 1}"
+        raise LinearSolveError(msg, info, d)
+    y = sol[:, 0]
+    if cyclic:
+        z, frac = sol[:, 1], c / sigma
+        scale = (y[first] + frac * y[last]) / (1.0 + z[first] + frac * z[last])
+        for s, i, k in zip(scale, first, last + 1):
+            z[i:k] *= s
+            y[i:k] -= z[i:k]
     return y
 
 
@@ -198,25 +203,22 @@ def _solve_linear(op: DiffusionOperator, fp, hp, b, rtol=CG_RTOL):
     solve is direct and ignores it.
     """
     p = op.pattern
-    d = fp / hp
     if op.grid.ndim == 2:
-        neg = op._negated()
-        data = neg.data.copy()
-        data[p.diag] += d
-        diag = data[p.diag]
-        # only the diagonal changes, so S shares -A's index arrays, and the
-        # Jacobi preconditioner is an elementwise product
-        S = sp.csr_matrix((data, neg.indices, neg.indptr), shape=neg.shape)
+        # only the diagonal changes, so each stage writes it into the cached
+        # -A, and the Jacobi preconditioner is an elementwise product
+        dn, S = op._negated()
+        diag = dn + fp / hp
+        S.data[p.diag] = diag
         inv = 1.0 / diag
         M = LinearOperator(S.shape, matvec=lambda v: inv * v, dtype=float)
         x, info = cg(S, b, rtol=rtol, atol=0.0, M=M)
         if info != 0:
             raise LinearSolveError("inner pressure solve stalled in cg", info, diag, rtol)
         return x / hp
-    dn, lo, up = op._negated()
-    x = np.empty_like(d)
+    dn, up = op._negated()
+    x = np.empty_like(b)
     x[p.order] = _solve_cyclic_tridiagonal(
-        dn + d[p.order], lo, up, b[p.order], p.first, p.last
+        dn + (fp / hp)[p.order], up, b[p.order], p.first, p.last
     )
     return x / hp
 

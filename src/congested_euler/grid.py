@@ -116,10 +116,10 @@ class StencilPattern:
     The data are ``np.bincount(scatter, weights)`` minus its last (spare)
     slot, for the weights laid out term by term as (w_k, -w_k); ``diag``
     holds the diagonal slots.  In 1D every cell has at most two neighbours:
-    ``order`` lists the cells path by path, then cycle by cycle, ``lo``/``up``
-    are the slots coupling each position to the previous/next one of its
-    chain (the spare slot at path ends), and cycle j runs over positions
-    first[j]..last[j].
+    ``order`` lists the cells path by path, then cycle by cycle, ``up`` holds
+    the slots coupling each position to the next one of its chain (the spare
+    slot at path ends, the chain's first position at a cycle's end), and
+    cycle j runs over positions first[j]..last[j].
     """
 
     indptr: np.ndarray
@@ -127,7 +127,6 @@ class StencilPattern:
     scatter: np.ndarray
     diag: np.ndarray
     order: np.ndarray | None = None
-    lo: np.ndarray | None = None
     up: np.ndarray | None = None
     first: np.ndarray | None = None
     last: np.ndarray | None = None
@@ -283,21 +282,19 @@ def _chains(keys, n: int) -> dict:
     by_chain = np.lexsort((deg, label))
     heads = by_chain[np.diff(label[by_chain], prepend=-1) != 0]
     heads = heads[np.argsort(deg[heads] == 2, kind="stable")]
+    # intp: int32 would overflow in the slot keys order * n + next once n > 46340
     order = np.concatenate([
         depth_first_order(graph, h, directed=False, return_predecessors=False) for h in heads
-    ])
+    ]).astype(np.intp)
     end = np.cumsum(np.bincount(label)[label[heads]]) - 1
     start = np.append(0, end[:-1] + 1)
     cyclic = deg[heads] == 2
     first, last = start[cyclic], end[cyclic]
-    nxt, prv = np.roll(order, -1), np.roll(order, 1)
-    nxt[end], prv[start] = -1, -1
-    nxt[last], prv[first] = order[first], order[last]
-
-    def slot(b):
-        return np.where(b >= 0, np.searchsorted(keys, order * n + b), keys.size)
-
-    return dict(order=order, lo=slot(prv), up=slot(nxt), first=first, last=last)
+    nxt = np.roll(order, -1)
+    nxt[end] = -1
+    nxt[last] = order[first]
+    up = np.where(nxt >= 0, np.searchsorted(keys, order * n + nxt), keys.size)
+    return dict(order=order, up=up, first=first, last=last)
 
 
 def pad_field(grid: Grid, values, width: int, kind: str = "scalar", dirichlet=None):

@@ -115,11 +115,28 @@ def test_matrix_agrees_with_padded_apply(grid):
 
 @pytest.mark.parametrize("grid", GRID_CASES)
 def test_operator_matrix_is_symmetric(grid):
-    # face-shared coefficients make the coupling matrix symmetric, including
-    # every kind of boundary folding
+    # face-shared coefficients make the coupling matrix symmetric bit for bit,
+    # including every kind of boundary folding; the 1D LDL^T solve relies on it
     A, _ = make_operator(grid).matrix()
-    asym = abs(A - A.T).max()
-    assert asym <= 1e-14
+    assert (A != A.T).nnz == 0
+
+
+@pytest.mark.parametrize("grid", [g for g in GRID_CASES if g.ndim == 1])
+def test_1d_chain_form_rebuilds_negated_matrix(grid):
+    # the 1D linear stage keeps only the diagonal and the ``up`` couplings, so
+    # mirroring them must rebuild -A in chain order exactly
+    op = make_operator(grid)
+    A, _ = op.matrix()
+    p = op.pattern
+    dn, up = op._negated()
+    m = dn.size
+    nxt = np.arange(1, m + 1)
+    nxt[p.last] = p.first
+    chain = np.diag(dn)
+    for pos in np.flatnonzero(nxt < m):
+        chain[pos, nxt[pos]] += up[pos]
+        chain[nxt[pos], pos] += up[pos]
+    np.testing.assert_array_equal(chain, -A.toarray()[np.ix_(p.order, p.order)])
 
 
 @pytest.mark.parametrize("grid", GRID_CASES)
@@ -204,6 +221,20 @@ def test_cg_stall_raises_linear_solve_error(monkeypatch):
     assert f"rtol={CG_RTOL:.3e}" in str(err.value)
 
 
+def test_indefinite_1d_system_raises_linear_solve_error():
+    # negative slopes on a periodic grid: the LDL^T factorization meets a
+    # negative pivot at the first position of the first cycle
+    op = make_operator(GRID_CASES[0])
+    A, _ = op.matrix()
+    fp = -np.linspace(1.0, 2.0, op.grid.size)
+    with pytest.raises(LinearSolveError) as err:
+        _solve_linear(op, fp, np.ones_like(fp), np.ones_like(fp))
+    diag = fp - A.diagonal()
+    assert "tridiagonal system not positive definite at chain position 0" in str(err.value)
+    assert err.value.info == 1
+    assert (err.value.diag_min, err.value.diag_max) == (diag.min(), diag.max())
+
+
 def counting_cg(monkeypatch):
     """Wrap ``elliptic.cg`` so each call appends its iteration count to a list."""
     import congested_euler.elliptic as elliptic
@@ -268,11 +299,21 @@ def test_forcing_reaches_exact_newton_root_with_fewer_cg_iterations(monkeypatch)
 @pytest.mark.parametrize("case", sorted(CHAIN_SHAPES))
 def test_chain_shapes(case):
     p = make_operator(GRID_CASES[case]).pattern
-    path_starts = np.flatnonzero(p.lo == p.indices.size)  # no previous cell: the spare slot
-    cycles_start = p.first[0] if p.first.size else p.order.size
-    paths = np.diff(np.append(path_starts, cycles_start))
+    path_ends = np.flatnonzero(p.up == p.indices.size)  # no next cell: the spare slot
+    paths = np.diff(np.append(-1, path_ends))
     assert (paths.tolist(), (p.last - p.first + 1).tolist()) == CHAIN_SHAPES[case]
     assert sorted(p.order.tolist()) == list(range(GRID_CASES[case].size))
+
+
+def test_chain_slots_hold_beyond_int32_keys():
+    # 46342^2 exceeds the int32 range, so the chain slot keys need intp
+    grid = Grid(nx=46342)
+    op = make_operator(grid)
+    A, _ = op.matrix()
+    fp = 0.5 + RNG.random(grid.size)
+    b = RNG.standard_normal(grid.size)
+    x = _solve_linear(op, fp, np.ones_like(fp), b)
+    np.testing.assert_allclose(fp * x - A @ x, b, rtol=0, atol=1e-12)
 
 
 def test_laplacian_form_linear_solve():
@@ -287,26 +328,25 @@ def test_laplacian_form_linear_solve():
 
 
 def test_cyclic_tridiagonal_matches_dense():
-    # single cycles, then open chains followed by cycles in one layout
+    # symmetric positive-definite chains: single cycles, then open chains
+    # followed by cycles in one layout
     for paths, cycles in [([], [m]) for m in (2, 3, 4, 9, 17)] + [([3, 1], [4, 3, 2])]:
         m = sum(paths) + sum(cycles)
         d = 2.0 + RNG.random(m)
-        lo = -RNG.random(m) * 0.5
         up = -RNG.random(m) * 0.5
         b = RNG.standard_normal(m)
-        M = np.zeros((m, m))
-        M[np.arange(m), np.arange(m)] = d
+        M = np.diag(d)
         start = 0
         for size, closed in [(k, False) for k in paths] + [(k, True) for k in cycles]:
-            lo[start] *= closed
             up[start + size - 1] *= closed
             for p in range(size):
-                M[start + p, start + (p + 1) % size] += up[start + p]
-                M[start + p, start + (p - 1) % size] += lo[start + p]
+                q = start + (p + 1) % size
+                M[start + p, q] += up[start + p]
+                M[q, start + p] += up[start + p]
             start += size
         first = np.cumsum([sum(paths)] + cycles[:-1])
         last = first + np.array(cycles) - 1
-        x = _solve_cyclic_tridiagonal(d, lo, up, b, first, last)
+        x = _solve_cyclic_tridiagonal(d, up, b, first, last)
         np.testing.assert_allclose(x, np.linalg.solve(M, b), rtol=0, atol=1e-12)
 
 
