@@ -3,17 +3,15 @@
 Each implicit substep of either scheme reduces to one nonlinear system over
 the interior cells,
 
-    f(u_c) - sum_k w_k(c) * (h(u)_{c+o_k} - h(u)_c) = rhs_c,
+    f(u_c) - sum_k w_k(c) * (u_{c+o_k} - u_c) = rhs_c,
 
-with f and h increasing pointwise maps and nonnegative weights w_k.  The
-pressure-variable form has nonlinear f (pressure -> congestion ratio) and
-h = identity; the density form has f = identity and nonlinear h (density ->
-congestion pressure).  Neighbor values resolve through the grid's ghost
-maps, so the implicit operator sees exactly the boundary treatment of the
-explicit stencils.
+with the unknown u the pressure, f an increasing pointwise map (pressure ->
+mass) and nonnegative weights w_k.  Neighbor values resolve through the
+grid's ghost maps, so the implicit operator sees exactly the boundary
+treatment of the explicit stencils.
 
-Newton with projection onto box bounds and residual line search solves the
-system.  The coupling matrix A is assembled once per operator into the
+Newton with projection onto a lower bound and residual line search solves
+the system.  The coupling matrix A is assembled once per operator into the
 grid's fixed pattern for the stencil, and each linear stage only sets the
 Newton diagonal of -A.  -A is a weighted graph Laplacian and the Newton
 diagonal is positive, so every linear stage is symmetric positive definite:
@@ -139,22 +137,19 @@ class DiffusionOperator:
 
 @dataclass(eq=False)
 class EllipticProblem:
-    """f(u) - L h(u) = rhs over the interior cells.
+    """f(u) - L u = rhs over the interior cells.
 
-    The pressure unknown has h = identity, the density unknown f = identity.
-    All callables act elementwise on flat arrays.
+    Both callables act elementwise on flat arrays.
     """
 
     op: DiffusionOperator
     rhs: np.ndarray
     f: Callable
     fprime: Callable
-    h: Callable
-    hprime: Callable
 
     def residual(self, u):
         A, b = self.op.matrix()
-        return self.f(u) - (A @ self.h(u) + b) - np.asarray(self.rhs, float).ravel()
+        return self.f(u) - (A @ u + b) - np.asarray(self.rhs, float).ravel()
 
 
 def _solve_cyclic_tridiagonal(d, up, b, first, last):
@@ -196,8 +191,8 @@ def _solve_cyclic_tridiagonal(d, up, b, first, last):
     return y
 
 
-def _solve_linear(op: DiffusionOperator, fp, hp, b, rtol=CG_RTOL):
-    """Solve [diag(fp) - A diag(hp)] delta = b through the symmetrized form.
+def _solve_linear(op: DiffusionOperator, fp, b, rtol=CG_RTOL):
+    """Solve [diag(fp) - A] delta = b.
 
     In 2D, CG stops once the residual is below ``rtol`` times ||b||_2; the 1D
     solve is direct and ignores it.
@@ -207,29 +202,27 @@ def _solve_linear(op: DiffusionOperator, fp, hp, b, rtol=CG_RTOL):
         # only the diagonal changes, so each stage writes it into the cached
         # -A, and the Jacobi preconditioner is an elementwise product
         dn, S = op._negated()
-        diag = dn + fp / hp
+        diag = dn + fp
         S.data[p.diag] = diag
         inv = 1.0 / diag
         M = LinearOperator(S.shape, matvec=lambda v: inv * v, dtype=float)
         x, info = cg(S, b, rtol=rtol, atol=0.0, M=M)
         if info != 0:
             raise LinearSolveError("inner pressure solve stalled in cg", info, diag, rtol)
-        return x / hp
+        return x
     dn, up = op._negated()
     x = np.empty_like(b)
     x[p.order] = _solve_cyclic_tridiagonal(
-        dn + (fp / hp)[p.order], up, b[p.order], p.first, p.last
+        dn + fp[p.order], up, b[p.order], p.first, p.last
     )
-    return x / hp
+    return x
 
 
-def _check_diagonal_dominance(problem: EllipticProblem, fp, hp):
+def _check_diagonal_dominance(problem: EllipticProblem, fp):
     A, _ = problem.op.matrix()
-    J = (sp.diags(fp) - A @ sp.diags(hp)).tocsr()
-    # rows when h is the identity, columns when it scales them
-    M = J if np.all(hp == 1.0) else J.T.tocsr()
-    diag = M.diagonal()
-    offsum = np.asarray(abs(M).sum(axis=1)).ravel() - np.abs(diag)
+    J = (sp.diags(fp) - A).tocsr()
+    diag = J.diagonal()
+    offsum = np.asarray(abs(J).sum(axis=1)).ravel() - np.abs(diag)
     slack = 1e-12 * np.maximum(1.0, np.abs(diag))
     if np.any(diag <= 0.0) or np.any(offsum > diag + slack):
         worst = int(np.argmax(offsum - diag))
@@ -244,21 +237,20 @@ def solve_newton(
     u0,
     *,
     tol_abs: float = 1e-10,
-    tol_rel: float = 1e-12,
     max_iter: int = 100,
     lower=None,
-    upper=None,
     iterate_hook=None,
     debug: bool = False,
 ):
     """Projected Newton iteration on an :class:`EllipticProblem`.
 
-    Converges when the max-norm residual falls below ``tol_abs`` or shrinks
-    by ``tol_rel`` relative to the start.  After every update the iterate is
-    clipped into [lower, upper] (either bound may be None, a scalar, or a
-    field); ``iterate_hook`` sees each accepted iterate *before* clipping,
-    which is where bound violations carry information.  Returns
-    ``(u, NewtonReport)`` and raises :class:`NewtonError` when stuck.
+    Converges when the max-norm residual falls below ``tol_abs``; there is
+    no relative test, which a start far from the root would let accept large
+    residuals.  After every update the iterate is raised to at least
+    ``lower`` (None, a scalar, or a field); ``iterate_hook`` sees each
+    accepted iterate *before* that clip, which is where bound violations
+    carry information.  Returns ``(u, NewtonReport)`` and raises
+    :class:`NewtonError` when stuck.
 
     Each linear stage is solved only as far as the next step can use: its
     relative tolerance starts at max(CG_RTOL, c tol_abs / r_0) and, after
@@ -269,19 +261,13 @@ def solve_newton(
     """
     grid = problem.op.grid
     lo = None if lower is None else np.asarray(lower, dtype=float).ravel()
-    hi = None if upper is None else np.asarray(upper, dtype=float).ravel()
 
     def clip(u):
-        if lo is not None:
-            u = np.maximum(u, lo)
-        if hi is not None:
-            u = np.minimum(u, hi)
-        return u
+        return u if lo is None else np.maximum(u, lo)
 
     u = clip(np.asarray(u0, dtype=float).ravel().copy())
     F = problem.residual(u)
     res = float(np.max(np.abs(F)))
-    res0 = res
     if res <= tol_abs:
         return u.reshape(grid.shape), NewtonReport(0, res, True)
 
@@ -290,10 +276,9 @@ def solve_newton(
     eta = max(CG_RTOL, FORCING_FLOOR * tol_abs / res)
     for it in range(1, max_iter + 1):
         fp = np.asarray(problem.fprime(u), dtype=float).ravel()
-        hp = np.asarray(problem.hprime(u), dtype=float).ravel()
         if debug:
-            _check_diagonal_dominance(problem, fp, hp)
-        delta = _solve_linear(problem.op, fp, hp, -F, eta)
+            _check_diagonal_dominance(problem, fp)
+        delta = _solve_linear(problem.op, fp, -F, eta)
         if not np.all(np.isfinite(delta)):
             raise NewtonError("non-finite Newton step", NewtonReport(it, res, False))
         step = 1.0
@@ -327,7 +312,7 @@ def solve_newton(
         del recent[:-10]
         if iterate_hook is not None:
             iterate_hook(u_raw.reshape(grid.shape))
-        if res <= tol_abs or res <= tol_rel * res0:
+        if res <= tol_abs:
             return u.reshape(grid.shape), NewtonReport(it, res, True)
         safeguard = 0.9 * eta**2
         eta = 0.9 * (res / res_prev) ** 2

@@ -6,8 +6,9 @@ time level (first order) or as a time average (second order).
 
 Both schemes share one condensed implicit stage, :func:`_stage`: explicit
 fluxes, elimination of the momentum from the mass updates, one nonlinear
-elliptic solve for the pressure, back-substitution.  This scheme condenses
-both Z and rho, solves for the pressure with Z = Z(pi) as the nonlinear map,
+elliptic solve for the pressure, back-substitution.  The pressure is the
+Newton unknown of both schemes, with one mass map cap Z(pi).  This scheme
+condenses both Z and rho, takes capacity 1 (its first mass is Z itself),
 and clamps both masses at a density floor.  Keeping the new pressure
 implicit keeps the admissible time step bounded away from zero as the
 stiffness parameter vanishes.
@@ -21,8 +22,6 @@ for the time-averaged pressure, (1/2, p(Z) / 2), redone implicitly when some
 cell would need pi_new < 0 (:class:`PressureSwitchTriggered`, congestion
 releasing into near vacuum).  It holds the only relaxation toward a desired
 velocity, after the finite-volume stage, and builds the :class:`StepInfo`.
-Each scheme writes its pressure map once for any (w, p_old); here
-:func:`_substep` solves for P with Z((P - p_old) / w) as the map.
 """
 
 from __future__ import annotations
@@ -124,7 +123,7 @@ def _offset(grid: Grid, axis: int, k: int):
     return tuple([k if a == axis else 0 for a in range(grid.ndim)])
 
 
-def _stage(grid, state_init, state_flux, dt, w, law, *, order, masses, solve):
+def _stage(grid, state_init, state_flux, dt, w, p_old, law, *, order, masses, cap):
     """The condensed implicit stage that both schemes share.
 
     Rusanov fluxes at ``state_flux`` advance the momentum explicitly to mt,
@@ -132,9 +131,16 @@ def _stage(grid, state_init, state_flux, dt, w, law, *, order, masses, solve):
     the update of each mass m in ``masses`` ("Z" or "rho") leaves
     m_new = phi_m + L_m Pi, with phi_m explicit and L_m the stride-2 second
     difference weighted by w dt^2 / (4 h^2) * m / rho, where ``w`` weights
-    q_new against the initial momentum in the mass fluxes.  ``solve(L, phi)``
-    of the first mass returns Pi and its Newton report.  Returns the new
-    masses and momenta by name, Pi, the report and the largest wave speed.
+    q_new against the initial momentum in the mass fluxes.
+
+    The one Newton unknown is the pressure Pi = p_old + w pi_new, with the
+    first mass cap Z((Pi - p_old) / w) as its map: ``cap`` is 1 when that
+    mass is Z and the frozen ceiling rho_star when it is rho.  Newton starts
+    from the congestion pressure of ``state_flux``'s Z and keeps Pi >= p_old;
+    when w < 1 a raw iterate below that bound raises
+    :class:`PressureSwitchTriggered`, at w = 1 it is only clipped.  Returns
+    the new masses and momenta by name, Pi, the Newton report and the
+    largest wave speed.
     """
     W = GHOST_WIDTH
     mass_p = {m: state_flux.padded(grid, m, W) for m in ("rho", "Z")}
@@ -191,7 +197,28 @@ def _stage(grid, state_init, state_flux, dt, w, law, *, order, masses, solve):
     # telescope exactly, so total mass is conserved to rounding regardless
     # of the Newton stopping residual.
     op, phi = condense(masses[0])
-    Pi, report = solve(op, phi)
+    po, cap = np.ravel(p_old), np.ravel(cap)
+    floor = inverse_slope_floor(law)
+    problem = EllipticProblem(
+        op=op,
+        rhs=phi,
+        f=lambda u: cap * singular_pressure_inverse((u - po) / w, law),
+        fprime=lambda u: cap * singular_pressure_inverse_deriv(
+            np.maximum((u - po) / w, floor), law
+        ) / w,
+    )
+    hook = None
+    if w < 1.0:
+        slack = 1e-13 * max(1.0, float(np.max(p_old)) / (1.0 - w))
+
+        def hook(u_raw):
+            if np.any(u_raw < p_old - slack):
+                raise PressureSwitchTriggered(
+                    "time-weighted pressure fell below its explicit part"
+                )
+
+    u0 = p_old + w * singular_pressure(state_flux.Z, law)
+    Pi, report = solve_newton(problem, u0, lower=p_old, iterate_hook=hook)
     new = {masses[0]: phi + op.apply(Pi)}
 
     Pi_p = pad_field(grid, Pi, W, "scalar", pi_b)
@@ -215,43 +242,12 @@ def _stage(grid, state_init, state_flux, dt, w, law, *, order, masses, solve):
 def _substep(grid, state_init, state_flux, dt, law, w, p_old, *, order):
     """One implicit-pressure update from ``state_init`` with fluxes at ``state_flux``.
 
-    The condensed unknown is the pressure P = p_old + w pi_new, with ``w``
-    the weight of the new pressure and ``p_old`` the explicit part, so
-    Z = Z((P - p_old) / w) is the nonlinear map and P >= p_old its bound.
-    When w < 1 a raw Newton iterate below that bound raises
-    :class:`PressureSwitchTriggered`; at w = 1 it is only clipped.
+    Condenses Z and rho, so the stage's pressure map is Z((P - p_old) / w)
+    itself (capacity 1), and clamps both masses at the density floor.
     """
-    po = np.ravel(p_old)
-    floor = inverse_slope_floor(law)
-    zmap = lambda u: singular_pressure_inverse((u - po) / w, law)
-    dzmap = lambda u: singular_pressure_inverse_deriv(
-        np.maximum((u - po) / w, floor), law
-    ) / w
-    u0 = p_old + w * singular_pressure(state_flux.Z, law)
-    hook = None
-    if w < 1.0:
-        slack = 1e-13 * max(1.0, float(np.max(p_old)) / (1.0 - w))
-
-        def hook(u_raw):
-            if np.any(u_raw < p_old - slack):
-                raise PressureSwitchTriggered(
-                    "time-weighted pressure fell below its explicit part"
-                )
-
-    def solve(op, phi):
-        problem = EllipticProblem(
-            op=op,
-            rhs=phi,
-            f=zmap,
-            fprime=dzmap,
-            h=lambda u: u,
-            hprime=lambda u: np.ones_like(u),
-        )
-        return solve_newton(problem, u0, lower=p_old, iterate_hook=hook)
-
     new, q_new, Pi, report, max_speed = _stage(
-        grid, state_init, state_flux, dt, w, law,
-        order=order, masses=("Z", "rho"), solve=solve,
+        grid, state_init, state_flux, dt, w, p_old, law,
+        order=order, masses=("Z", "rho"), cap=1.0,
     )
     clamps = sum(int(np.count_nonzero(m < DENSITY_FLOOR)) for m in new.values())
     rho_new, Z_new = (np.maximum(new[m], DENSITY_FLOOR) for m in ("rho", "Z"))

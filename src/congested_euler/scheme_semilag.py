@@ -1,24 +1,23 @@
-"""Density-variable scheme with semi-Lagrangian congestion transport.
+"""Scheme on (rho, q) with semi-Lagrangian congestion transport.
 
 The finite-volume stage advances (rho, q) only, through the condensed stage
 of :mod:`scheme_conservative`: this scheme condenses rho against the capacity
-field rho_star frozen for the stage, solves for the new density with the
-congestion pressure pi(rho / rho_star) as the nonlinear map, and projects the
-density below rho_star.  rho_star itself moves along characteristics: each
-cell traces its foot backward through the velocity field and reads the old
-field through Lagrange interpolation on 2r + 2 neighboring nodes.
+field rho_star frozen for the stage, solves for the pressure with
+rho = rho_star Z(pi) as the mass map, and projects the density below
+rho_star.  rho_star itself moves along characteristics: each cell traces
+its foot backward through the velocity field and reads the old field
+through Lagrange interpolation on 2r + 2 neighboring nodes.
 
 The time discretization is :func:`scheme_conservative._advance`, shared with
 the conservative scheme: it picks each substep's weight w of the new pressure
 and its explicit part p_old, and does the relaxation of the momentum toward
 rho times a desired velocity (evacuation runs) and the step's diagnostics.
-This scheme supplies :func:`_fv_substep`, whose pressure is
-P(rho) = p_old + w pi(rho / rho_star) against a frozen rho_star, and the
-transport around it.  Second order combines MUSCL fluxes with Strang
-splitting that advects rho_star a half step on either side of the
-finite-volume stage, backtracking by a second-order Taylor step; first order
-advects it a full step after it by Euler backtracking.  The last advection
-uses the relaxed velocity.
+This scheme supplies :func:`_fv_substep`, whose mass is rho with capacity
+rho_star, and the transport around it.  Second order combines MUSCL fluxes
+with Strang splitting that advects rho_star a half step on either side of
+the finite-volume stage, backtracking by a second-order Taylor step; first
+order advects it a full step after it by Euler backtracking.  The last
+advection uses the relaxed velocity.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from congested_euler.elliptic import EllipticProblem, solve_newton
 from congested_euler.grid import (
     Grid,
     GridState,
@@ -38,7 +36,6 @@ from congested_euler.grid import (
     dirichlet_values,
     pad_field,
 )
-from congested_euler.pressure import singular_pressure, singular_pressure_deriv
 # RelaxationConfig and relaxation_update are re-exported for callers of this module
 from congested_euler.scheme_conservative import (
     DENSITY_FLOOR,
@@ -51,8 +48,8 @@ from congested_euler.scheme_conservative import (
     relaxation_update,
 )
 
-# Newton iterates and the projected density stay below this fraction of
-# rho_star so the pressure law is always evaluated inside its domain.
+# The projected density stays below this fraction of rho_star so the
+# pressure law is always evaluated inside its domain.
 CONGESTION_GUARD = 1e-10
 
 
@@ -148,34 +145,13 @@ def _project_density(rho, rho_star, q1, q2, time):
 def _fv_substep(grid, state_init, state_flux, dt, law, w, p_old, *, order):
     """One congestion-implicit update of (rho, q) against a frozen rho_star.
 
-    The stage's pressure is P(rho_new) = p_old + w pi(rho_new / rho_star),
-    with ``w`` the weight of the new pressure and ``p_old`` the explicit
-    part; rho_star is ``state_init``'s.  The condensed elliptic unknown is
-    the new density.
+    The stage solves for the pressure P = p_old + w pi_new with the new
+    density rho_star Z((P - p_old) / w) as its map, ``w`` the weight of the
+    new pressure, ``p_old`` the explicit part and rho_star ``state_init``'s.
     """
-    rs = state_init.rho_star.ravel()
-    po = np.ravel(p_old)
-    ceiling = (1.0 - CONGESTION_GUARD) * rs
-    pmap = lambda u: po + w * singular_pressure(u / rs, law)
-    dpmap = lambda u: w * singular_pressure_deriv(u / rs, law) / rs
-
-    def solve(op, phi):
-        problem = EllipticProblem(
-            op=op,
-            rhs=phi,
-            f=lambda u: u,
-            fprime=lambda u: np.ones_like(u),
-            h=pmap,
-            hprime=dpmap,
-        )
-        rho_u, report = solve_newton(
-            problem, state_flux.rho, lower=DENSITY_FLOOR, upper=ceiling
-        )
-        return pmap(rho_u.ravel()).reshape(grid.shape), report
-
     new, q_new, Pi, report, max_speed = _stage(
-        grid, state_init, state_flux, dt, w, law,
-        order=order, masses=("rho",), solve=solve,
+        grid, state_init, state_flux, dt, w, p_old, law,
+        order=order, masses=("rho",), cap=state_init.rho_star,
     )
     state, clamps = _project_density(
         new["rho"], state_init.rho_star, q_new["q1"], q_new.get("q2"),

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from congested_euler import scenarios
-from congested_euler.grid import Grid, GridState
+from congested_euler.grid import Grid, GridState, l1_error
 from congested_euler.pressure import PressureLaw, eigenvalues
 from congested_euler.riemann import (
     CongestionLimitError,
@@ -96,6 +96,33 @@ def test_criterion_2_large_time_step_robustness(riemann_runs):
     ok = ok and cfl > 1.0
     details.append(f"lambda_max={lam:.1f} ({cfl:.1f}x over explicit CFL)")
     _report(2, "fixed dt=0.1dx sweep over eps in {1e-2,1e-4,1e-6}", ok, " ".join(details))
+
+
+def _fan_l1_rho(run, eps):
+    """L1 error of the final density against the exact fan."""
+    fan = solve_riemann(*scenarios.riemann_states(), PressureLaw(eps, 2.0, 2.0))
+    prof = fan.sample_profile(run.grid.centers_x, run.scenario.t_end)
+    return l1_error(run.grid, run.final.rho, prof["rho"])
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6])
+def test_criterion_2_ap_rows_sl_order_1(eps):
+    # The AP claim on the colliding shocks at dt = 0.1dx for sl order 1: a
+    # run that merely stays finite and below Z = 1 (say, clamped onto the
+    # congestion guard) is not enough, so its error must also be no larger
+    # than that of zq order 1 on the same grid.
+    base = dict(kind="riemann1d", nx=200, order=1, epsilon=eps, t_end=0.1)
+    sl_run = scenarios.run_scenario(Scenario(scheme="sl", **base))
+    zq_run = scenarios.run_scenario(Scenario(scheme="zq", **base))
+    st = sl_run.final
+    finite = all(np.all(np.isfinite(getattr(st, n))) for n in ("rho", "q1", "Z"))
+    zmax = float(st.Z.max())
+    err_sl, err_zq = _fan_l1_rho(sl_run, eps), _fan_l1_rho(zq_run, eps)
+    ok = finite and zmax < 1.0 and err_sl <= err_zq
+    _report(
+        2, f"AP row sl o1 at eps={eps:g}, nx=200, dt=0.1dx", ok,
+        f"finite={finite} 1-maxZ={1.0 - zmax:.1e} L1(rho) sl={err_sl:.3e} <= zq={err_zq:.3e}",
+    )
 
 
 @pytest.fixture(scope="module")

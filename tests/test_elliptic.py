@@ -25,7 +25,6 @@ from congested_euler.pressure import (
     PressureLaw,
     inverse_slope_floor,
     singular_pressure,
-    singular_pressure_deriv,
     singular_pressure_inverse,
     singular_pressure_inverse_deriv,
 )
@@ -48,7 +47,7 @@ def stride2_terms(grid, a, scale, a_boundary=None):
 
 
 def laplacian_terms(grid, scale):
-    """Constant-coefficient stride-1 couplings, the density-form operator shape."""
+    """Constant-coefficient stride-1 couplings, a second operator shape."""
     if grid.ndim == 1:
         w = np.full(grid.shape, scale)
         return [(+1, w), (-1, w.copy())]
@@ -59,7 +58,7 @@ def laplacian_terms(grid, scale):
 def identity_problem(op, rhs):
     one = lambda u: np.ones_like(u)
     ident = lambda u: u
-    return EllipticProblem(op=op, rhs=rhs, f=ident, fprime=one, h=ident, hprime=one)
+    return EllipticProblem(op=op, rhs=rhs, f=ident, fprime=one)
 
 
 GRID_CASES = [
@@ -139,6 +138,19 @@ def test_1d_chain_form_rebuilds_negated_matrix(grid):
     np.testing.assert_array_equal(chain, -A.toarray()[np.ix_(p.order, p.order)])
 
 
+def test_far_start_converges_to_absolute_tolerance():
+    # a start 1e12 away from the root: the first step leaves a residual far
+    # below the starting one but above tol_abs, and Newton must go on
+    grid = GRID_CASES[0]
+    op = make_operator(grid, scale=0.2)
+    A, b = op.matrix()
+    u_exact = RNG.random(grid.size)
+    problem = identity_problem(op, u_exact - (A @ u_exact + b))
+    u, report = solve_newton(problem, np.full(grid.shape, 1e12))
+    assert report.converged and report.residual <= 1e-10
+    assert np.max(np.abs(problem.residual(u.ravel()))) <= 1e-10
+
+
 @pytest.mark.parametrize("grid", GRID_CASES)
 def test_linear_solves_match_dense_oracle(grid):
     op = make_operator(grid, scale=0.2)
@@ -198,10 +210,9 @@ def test_linear_solve_with_varying_diagonal_matches_dense():
         for op in ops:
             A, _ = op.matrix()
             fp = 0.5 + RNG.random(grid.size)
-            hp = 0.5 + RNG.random(grid.size)
             b = RNG.standard_normal(grid.size)
-            x = _solve_linear(op, fp, hp, b)
-            dense = np.diag(fp) - A.toarray() @ np.diag(hp)
+            x = _solve_linear(op, fp, b)
+            dense = np.diag(fp) - A.toarray()
             np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=0, atol=1e-11)
 
 
@@ -213,7 +224,7 @@ def test_cg_stall_raises_linear_solve_error(monkeypatch):
     A, _ = op.matrix()
     fp = np.linspace(1.0, 2.0, op.grid.size)
     with pytest.raises(LinearSolveError) as err:
-        _solve_linear(op, fp, np.ones_like(fp), np.ones_like(fp))
+        _solve_linear(op, fp, np.ones_like(fp))
     diag = fp - A.diagonal()
     assert err.value.info == 7
     assert (err.value.diag_min, err.value.diag_max) == (diag.min(), diag.max())
@@ -228,7 +239,7 @@ def test_indefinite_1d_system_raises_linear_solve_error():
     A, _ = op.matrix()
     fp = -np.linspace(1.0, 2.0, op.grid.size)
     with pytest.raises(LinearSolveError) as err:
-        _solve_linear(op, fp, np.ones_like(fp), np.ones_like(fp))
+        _solve_linear(op, fp, np.ones_like(fp))
     diag = fp - A.diagonal()
     assert "tridiagonal system not positive definite at chain position 0" in str(err.value)
     assert err.value.info == 1
@@ -258,12 +269,11 @@ def test_cg_stops_at_requested_tolerance(monkeypatch, case):
     A, _ = op.matrix()
     rng = np.random.default_rng(case)
     fp = 0.5 + rng.random(op.grid.size)
-    hp = 0.5 + rng.random(op.grid.size)
     b = rng.standard_normal(op.grid.size)
-    x = _solve_linear(op, fp, hp, b, rtol=1e-4)
-    S = np.diag(fp / hp) - A.toarray()
-    assert np.linalg.norm(S @ (hp * x) - b) <= 1e-4 * np.linalg.norm(b)
-    _solve_linear(op, fp, hp, b)
+    x = _solve_linear(op, fp, b, rtol=1e-4)
+    S = np.diag(fp) - A.toarray()
+    assert np.linalg.norm(S @ x - b) <= 1e-4 * np.linalg.norm(b)
+    _solve_linear(op, fp, b)
     assert counts[0] < counts[1]
 
 
@@ -286,7 +296,7 @@ def test_forcing_reaches_exact_newton_root_with_fewer_cg_iterations(monkeypatch)
     real = elliptic._solve_linear
     monkeypatch.setattr(
         elliptic, "_solve_linear",
-        lambda op, fp, hp, b, rtol=None: real(op, fp, hp, b, elliptic.CG_RTOL),
+        lambda op, fp, b, rtol=None: real(op, fp, b, elliptic.CG_RTOL),
     )
     u_exact, exact = solve_newton(problem, u0, lower=0.0)
 
@@ -312,7 +322,7 @@ def test_chain_slots_hold_beyond_int32_keys():
     A, _ = op.matrix()
     fp = 0.5 + RNG.random(grid.size)
     b = RNG.standard_normal(grid.size)
-    x = _solve_linear(op, fp, np.ones_like(fp), b)
+    x = _solve_linear(op, fp, b)
     np.testing.assert_allclose(fp * x - A @ x, b, rtol=0, atol=1e-12)
 
 
@@ -357,8 +367,6 @@ def pressure_problem(grid, op, rhs, law=LAW):
         rhs=rhs,
         f=lambda u: singular_pressure_inverse(u, law),
         fprime=lambda u: singular_pressure_inverse_deriv(np.maximum(u, floor), law),
-        h=lambda u: u,
-        hprime=lambda u: np.ones_like(u),
     )
 
 
@@ -388,30 +396,6 @@ def test_nonlinear_manufactured_solution(grid, law=LAW):
     assert report.converged and report.iterations <= 30
     np.testing.assert_allclose(u.ravel(), u_exact, rtol=1e-7, atol=1e-9)
     assert np.max(np.abs(problem.residual(u.ravel()))) <= 1e-10
-
-
-def test_density_form_manufactured_solution():
-    # identity f, nonlinear h: the congestion pressure of rho / rho*
-    rho_star = 1.2
-    for grid in (Grid(nx=20), Grid(nx=8, ny=7, bc_x=(Wall(), Wall()))):
-        op = DiffusionOperator(grid, 1, laplacian_terms(grid, 0.4))
-        A, b = op.matrix()
-        rho_exact = 0.3 + 0.6 * RNG.random(grid.size)
-        rhs = rho_exact - (A @ singular_pressure(rho_exact / rho_star, LAW) + b)
-        problem = EllipticProblem(
-            op=op,
-            rhs=rhs,
-            f=lambda u: u,
-            fprime=lambda u: np.ones_like(u),
-            h=lambda u: singular_pressure(u / rho_star, LAW),
-            hprime=lambda u: singular_pressure_deriv(u / rho_star, LAW) / rho_star,
-        )
-        u, report = solve_newton(
-            problem, np.full(grid.shape, 0.5), lower=1e-10, upper=rho_star * (1 - 1e-10),
-            debug=True,
-        )
-        assert report.converged and report.iterations <= 30
-        np.testing.assert_allclose(u.ravel(), rho_exact, rtol=1e-8, atol=1e-10)
 
 
 def test_jacobian_matches_directional_difference():
@@ -475,7 +459,6 @@ def test_dominance_check_flags_degenerate_diagonal():
     problem = EllipticProblem(
         op=op, rhs=np.zeros(8),
         f=lambda u: u, fprime=lambda u: np.full_like(u, -0.5),  # wrong-signed slope
-        h=lambda u: u, hprime=lambda u: np.ones_like(u),
     )
     with pytest.raises(AssertionError):
         solve_newton(problem, np.full(8, 0.5), debug=True)
