@@ -39,9 +39,13 @@ from scipy.sparse.linalg import LinearOperator, cg
 
 from congested_euler.grid import Grid, _shifted, pad_field
 
+# max-norm residual at which a Newton solve has converged
+TOL_ABS = 1e-10
+# Newton iterations after which a solve gives up
+MAX_ITER = 100
 # tightest relative residual at which the 2D conjugate-gradient solve stops
 CG_RTOL = 1e-13
-# share of tol_abs that the linear residual of a Newton step may leave
+# share of TOL_ABS that the linear residual of a Newton step may leave
 FORCING_FLOOR = 1e-3
 
 
@@ -218,45 +222,24 @@ def _solve_linear(op: DiffusionOperator, fp, b, rtol=CG_RTOL):
     return x
 
 
-def _check_diagonal_dominance(problem: EllipticProblem, fp):
-    A, _ = problem.op.matrix()
-    J = (sp.diags(fp) - A).tocsr()
-    diag = J.diagonal()
-    offsum = np.asarray(abs(J).sum(axis=1)).ravel() - np.abs(diag)
-    slack = 1e-12 * np.maximum(1.0, np.abs(diag))
-    if np.any(diag <= 0.0) or np.any(offsum > diag + slack):
-        worst = int(np.argmax(offsum - diag))
-        raise AssertionError(
-            f"lost diagonal dominance at cell {worst}: "
-            f"diag={diag[worst]:.3e}, off-diagonal sum={offsum[worst]:.3e}"
-        )
-
-
-def solve_newton(
-    problem: EllipticProblem,
-    u0,
-    *,
-    tol_abs: float = 1e-10,
-    max_iter: int = 100,
-    lower=None,
-    iterate_hook=None,
-    debug: bool = False,
-):
+def solve_newton(problem: EllipticProblem, u0, *, lower=None, iterate_hook=None):
     """Projected Newton iteration on an :class:`EllipticProblem`.
 
-    Converges when the max-norm residual falls below ``tol_abs``; there is
+    Converges when the max-norm residual falls below ``TOL_ABS``; there is
     no relative test, which a start far from the root would let accept large
-    residuals.  After every update the iterate is raised to at least
-    ``lower`` (None, a scalar, or a field); ``iterate_hook`` sees each
-    accepted iterate *before* that clip, which is where bound violations
-    carry information.  Returns ``(u, NewtonReport)`` and raises
-    :class:`NewtonError` when stuck.
+    residuals.  Each step backtracks by halving until the residual falls,
+    and the solve fails as soon as 31 halvings do not make it fall.  After
+    every update the iterate is raised to at least ``lower`` (None, a
+    scalar, or a field); ``iterate_hook`` sees each accepted iterate
+    *before* that clip, which is where bound violations carry information.
+    Returns ``(u, NewtonReport)`` and raises :class:`NewtonError` on a
+    stalled line search or when ``MAX_ITER`` iterations do not converge.
 
     Each linear stage is solved only as far as the next step can use: its
-    relative tolerance starts at max(CG_RTOL, c tol_abs / r_0) and, after
+    relative tolerance starts at max(CG_RTOL, c TOL_ABS / r_0) and, after
     each accepted iterate, becomes 0.9 (r_k / r_{k-1})^2, raised to
     0.9 eta_prev^2 when that exceeds 0.1, then clipped to
-    [max(c tol_abs / r_k, CG_RTOL), 0.1], with r the max-norm residual and
+    [max(c TOL_ABS / r_k, CG_RTOL), 0.1], with r the max-norm residual and
     c = ``FORCING_FLOOR``.  Only the 2D CG solve reads it.
     """
     grid = problem.op.grid
@@ -268,55 +251,35 @@ def solve_newton(
     u = clip(np.asarray(u0, dtype=float).ravel().copy())
     F = problem.residual(u)
     res = float(np.max(np.abs(F)))
-    if res <= tol_abs:
+    if res <= TOL_ABS:
         return u.reshape(grid.shape), NewtonReport(0, res, True)
 
-    stalls = 0
-    recent = [res]
-    eta = max(CG_RTOL, FORCING_FLOOR * tol_abs / res)
-    for it in range(1, max_iter + 1):
+    eta = max(CG_RTOL, FORCING_FLOOR * TOL_ABS / res)
+    for it in range(1, MAX_ITER + 1):
         fp = np.asarray(problem.fprime(u), dtype=float).ravel()
-        if debug:
-            _check_diagonal_dominance(problem, fp)
         delta = _solve_linear(problem.op, fp, -F, eta)
         if not np.all(np.isfinite(delta)):
             raise NewtonError("non-finite Newton step", NewtonReport(it, res, False))
         step = 1.0
-        accepted = None
-        full_trial = None
         for _ in range(31):
             u_raw = u + step * delta
             u_try = clip(u_raw)
             F_try = problem.residual(u_try)
             res_try = float(np.max(np.abs(F_try)))
-            if full_trial is None:
-                full_trial = (u_raw, u_try, F_try, res_try)
-            if res_try < res or res_try <= tol_abs:
-                accepted = (u_raw, u_try, F_try, res_try)
-                stalls = 0
+            if res_try < res or res_try <= TOL_ABS:
                 break
             step *= 0.5
-        if accepted is None:
-            # A cell pinned near a bound freezes the max norm for a few
-            # iterations, and can even let it creep up while its neighbors
-            # settle; accept full steps within a nonmonotone window so the
-            # pinned cell keeps healing, but refuse genuine divergence.
-            if full_trial[3] <= 1.5 * max(recent):
-                accepted = full_trial
-                stalls += 1
-            if accepted is None or stalls > 50:
-                raise NewtonError("line search stalled", NewtonReport(it, res, False))
+        else:
+            raise NewtonError("line search stalled", NewtonReport(it, res, False))
         res_prev = res
-        u_raw, u, F, res = accepted
-        recent.append(res)
-        del recent[:-10]
+        u, F, res = u_try, F_try, res_try
         if iterate_hook is not None:
             iterate_hook(u_raw.reshape(grid.shape))
-        if res <= tol_abs:
+        if res <= TOL_ABS:
             return u.reshape(grid.shape), NewtonReport(it, res, True)
         safeguard = 0.9 * eta**2
         eta = 0.9 * (res / res_prev) ** 2
         if safeguard > 0.1:
             eta = max(eta, safeguard)
-        eta = min(0.1, max(eta, FORCING_FLOOR * tol_abs / res, CG_RTOL))
-    raise NewtonError("no convergence", NewtonReport(max_iter, res, False))
+        eta = min(0.1, max(eta, FORCING_FLOOR * TOL_ABS / res, CG_RTOL))
+    raise NewtonError("no convergence", NewtonReport(MAX_ITER, res, False))

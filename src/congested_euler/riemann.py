@@ -35,6 +35,7 @@ Z_FLOOR = 1e-8
 Z_CEIL = 1.0 - 1e-12
 _QUAD_TOL = 1e-12
 _RESIDUAL_TOL = 1e-10
+_Z_XTOL = 1e-15
 
 
 class VacuumError(RuntimeError):
@@ -274,11 +275,17 @@ def solve_riemann(left: PrimState, right: PrimState, law: PressureLaw,
         vals = np.array([g(z) for z in zs])
         root_count = int(np.sum(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0))
 
-    z_mid = brentq(g, z_lo, z_hi, xtol=1e-15, maxiter=200)
+    z_mid = brentq(g, z_lo, z_hi, xtol=_Z_XTOL, maxiter=200)
     v_left = wave_curve_velocity(z_mid, left, law, 1, include_singular)
     v_right = wave_curve_velocity(z_mid, right, law, 3, include_singular)
     residual = abs(v_left - v_right)
-    if residual > _RESIDUAL_TOL:
+    # brentq pins z_mid only to within _Z_XTOL + 4 eps z_mid, and near Z = 1
+    # the curves are steep enough that this alone leaves a velocity gap of
+    # their slope times that width
+    h = 1e-6 * (min(z_mid, 1.0 - z_mid) if include_singular else z_mid)
+    slope = abs(g(z_mid + h) - g(z_mid - h)) / (2.0 * h)
+    width = _Z_XTOL + 4.0 * np.finfo(float).eps * z_mid
+    if residual > max(_RESIDUAL_TOL, slope * width):
         raise RuntimeError(f"middle-state velocities differ by {residual:.3e}")
     v_mid = 0.5 * (v_left + v_right)
 

@@ -41,6 +41,8 @@ RIEMANN_RIGHT = (0.7, -0.8, 1.0)
 COLLIDE_RHO_IN = 0.7
 COLLIDE_RHO_OUT = 0.2
 
+# the room starts at rest at this density, under the chosen ceiling
+EVACUATION_RHO = 0.6
 EVACUATION_BETA = 0.1
 EXIT_WINDOW = (0.4, 0.6)
 
@@ -104,6 +106,10 @@ class Scenario:
                 object.__setattr__(self, "beta", EVACUATION_BETA)
             if self.beta <= 0:
                 raise ValueError("beta must be positive")
+            if self.profile == "constant" and self.rho_star_const <= EVACUATION_RHO:
+                raise ValueError(
+                    f"rho_star_const must exceed the initial density {EVACUATION_RHO}"
+                )
 
     @property
     def law(self) -> PressureLaw:
@@ -179,7 +185,7 @@ def build_initial_state(s: Scenario, grid: Grid) -> GridState:
             ) * (np.cos(6 * np.pi * yy) + np.cos(34 * np.pi * yy))
         return GridState(rho=rho, q1=q1, Z=rho / rho_star, rho_star=rho_star, q2=q2)
 
-    rho = np.full(grid.shape, 0.6)
+    rho = np.full(grid.shape, EVACUATION_RHO)
     zero = np.zeros(grid.shape)
     if s.profile == "constant":
         rho_star = np.full(grid.shape, s.rho_star_const)

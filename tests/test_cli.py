@@ -24,6 +24,13 @@ def test_bad_flag_value_is_usage_error(capsys):
     assert cli.main(["riemann", "--eps", "-1", "--nx", "8"]) == 1
 
 
+@pytest.mark.parametrize("ceiling", ["0.6", "0"])
+def test_evacuate_ceiling_at_or_below_initial_density_is_usage_error(tmp_path, capsys, ceiling):
+    args = ["evacuate", "--rho-star-const", ceiling, "--nx", "8", "--out", str(tmp_path)]
+    assert cli.main(args) == 1
+    assert "initial density 0.6" in capsys.readouterr().err
+
+
 def test_riemann_run_writes_frames_and_manifest(tmp_path):
     out = tmp_path / "run"
     rc = cli.main(

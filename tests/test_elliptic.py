@@ -140,7 +140,7 @@ def test_1d_chain_form_rebuilds_negated_matrix(grid):
 
 def test_far_start_converges_to_absolute_tolerance():
     # a start 1e12 away from the root: the first step leaves a residual far
-    # below the starting one but above tol_abs, and Newton must go on
+    # below the starting one but above TOL_ABS, and Newton must go on
     grid = GRID_CASES[0]
     op = make_operator(grid, scale=0.2)
     A, b = op.matrix()
@@ -360,6 +360,22 @@ def test_cyclic_tridiagonal_matches_dense():
         np.testing.assert_allclose(x, np.linalg.solve(M, b), rtol=0, atol=1e-12)
 
 
+def assert_diagonally_dominant(problem, fp):
+    """-A is a weighted graph Laplacian, so the Newton matrix diag(fp) - A
+    is diagonally dominant with a positive diagonal wherever fp > 0."""
+    A, _ = problem.op.matrix()
+    J = (sp.diags(fp) - A).tocsr()
+    diag = J.diagonal()
+    offsum = np.asarray(abs(J).sum(axis=1)).ravel() - np.abs(diag)
+    slack = 1e-12 * np.maximum(1.0, np.abs(diag))
+    if np.any(diag <= 0.0) or np.any(offsum > diag + slack):
+        worst = int(np.argmax(offsum - diag))
+        raise AssertionError(
+            f"lost diagonal dominance at cell {worst}: "
+            f"diag={diag[worst]:.3e}, off-diagonal sum={offsum[worst]:.3e}"
+        )
+
+
 def pressure_problem(grid, op, rhs, law=LAW):
     floor = inverse_slope_floor(law)
     return EllipticProblem(
@@ -392,7 +408,11 @@ def test_nonlinear_manufactured_solution(grid, law=LAW):
     u_exact = (0.02 + 2.0 * RNG.random(grid.size)) ** 2
     rhs = singular_pressure_inverse(u_exact, law) - (A @ u_exact + b)
     problem = pressure_problem(grid, op, rhs, law)
-    u, report = solve_newton(problem, np.full(grid.shape, 0.5), lower=0.0, debug=True)
+
+    def hook(u_raw):
+        assert_diagonally_dominant(problem, problem.fprime(np.maximum(u_raw.ravel(), 0.0)))
+
+    u, report = solve_newton(problem, np.full(grid.shape, 0.5), lower=0.0, iterate_hook=hook)
     assert report.converged and report.iterations <= 30
     np.testing.assert_allclose(u.ravel(), u_exact, rtol=1e-7, atol=1e-9)
     assert np.max(np.abs(problem.residual(u.ravel()))) <= 1e-10
@@ -429,10 +449,19 @@ def test_newton_error_carries_report():
     grid = Grid(nx=8)
     op = DiffusionOperator(grid, 2, stride2_terms(grid, np.zeros(8), 1.0))
     with pytest.raises(NewtonError) as err:
-        solve_newton(pressure_problem(grid, op, -np.ones(8)), np.full(8, 0.2),
-                     lower=0.0, max_iter=5)
+        solve_newton(pressure_problem(grid, op, -np.ones(8)), np.full(8, 0.2), lower=0.0)
     assert err.value.report.converged is False
     assert err.value.report.residual > 0.1
+
+
+def test_bound_pinned_stall_fails_at_once():
+    # the root lies below the bound, so once the iterate sits on it no step
+    # lowers the residual: the first stalled line search ends the solve
+    grid = Grid(nx=8)
+    op = DiffusionOperator(grid, 2, stride2_terms(grid, np.zeros(8), 1.0))
+    with pytest.raises(NewtonError, match="line search stalled") as err:
+        solve_newton(pressure_problem(grid, op, -np.ones(8)), np.full(8, 0.2), lower=0.0)
+    assert err.value.report.iterations <= 2
 
 
 class Tripped(Exception):
@@ -461,7 +490,7 @@ def test_dominance_check_flags_degenerate_diagonal():
         f=lambda u: u, fprime=lambda u: np.full_like(u, -0.5),  # wrong-signed slope
     )
     with pytest.raises(AssertionError):
-        solve_newton(problem, np.full(8, 0.5), debug=True)
+        assert_diagonally_dominant(problem, problem.fprime(np.full(8, 0.5)))
 
 
 def test_iteration_count_stays_flat_under_refinement():

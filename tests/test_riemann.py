@@ -100,6 +100,19 @@ def test_colliding_fan_rh_residuals():
         assert fan.mid_right.rho_star == pytest.approx(COLLIDE_R.rho_star, rel=1e-12)
 
 
+@pytest.mark.parametrize("eps", [1e-10, 1e-11, 1e-12])
+def test_stiff_fan_resolves_next_to_congestion(eps):
+    # within 1e-5 of Z = 1 the wave curves are so steep that the root's own
+    # resolution leaves a velocity gap near 1e-10; the fan must still resolve
+    law = PressureLaw(epsilon=eps, alpha=2.0, gamma=2.0)
+    fan = solve_riemann(COLLIDE_L, COLLIDE_R, law)
+    assert 0.0 < 1.0 - fan.mid_left.Z < 1e-5
+    assert fan.residual <= 1e-9
+    assert max(rh_residuals(fan)) <= 1e-9
+    lim = limit_congested_solution(COLLIDE_L, COLLIDE_R, law)
+    assert abs(fan.waves[1].speed_lo - lim.waves[1].speed_lo) <= 1e-5
+
+
 def test_limit_fan_frozen_values():
     lim = limit_congested_solution(COLLIDE_L, COLLIDE_R, LAW4)
     w1, wc, w3 = lim.waves
