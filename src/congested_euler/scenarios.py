@@ -267,6 +267,9 @@ def run_scenario(s: Scenario) -> ScenarioResult:
                 f"background CFL of the last completed step: {last}",
             ) from exc
         cfl = info.max_speed * dt / h_min
+        if cfl > 1.0:
+            raise ScenarioError(k, t_prev, f"step {k} failed at t={t_prev:.6g}: "
+                                f"background CFL {cfl:.3g} exceeds 1")
         t = k * dt0 if k < steps else s.t_end
         state.time = t
         newton[k - 1] = info.newton_iterations

@@ -135,7 +135,7 @@ def _stage(grid, state_init, state_flux, dt, w, p_old, law, *, order, masses, ca
 
     The one Newton unknown is the pressure Pi = p_old + w pi_new, with the
     first mass cap Z((Pi - p_old) / w) as its map: ``cap`` is 1 when that
-    mass is Z and the frozen ceiling rho_star when it is rho.  Newton starts
+    mass is Z and the advected ceiling rho_star when it is rho.  Newton starts
     from the congestion pressure of ``state_flux``'s Z and keeps Pi >= p_old;
     when w < 1 a raw iterate below that bound raises
     :class:`PressureSwitchTriggered`, at w = 1 it is only clipped.  Returns

@@ -1,30 +1,28 @@
 """Scheme on (rho, q) with semi-Lagrangian congestion transport.
 
 The finite-volume stage advances (rho, q) only, through the condensed stage
-of :mod:`scheme_conservative`: this scheme condenses rho against the capacity
-field rho_star frozen for the stage, solves for the pressure with
-rho = rho_star Z(pi) as the mass map, and projects the density below
-rho_star.  rho_star itself moves along characteristics: each cell traces
-its foot backward through the velocity field and reads the old field
-through Lagrange interpolation on 2r + 2 neighboring nodes.
+of :mod:`scheme_conservative`.  Each substep first carries rho_star along
+characteristics: every cell traces its foot backward through the velocity
+field and reads the old field through Lagrange interpolation on 2r + 2
+neighboring nodes.  The stage then condenses rho against that advected
+ceiling and solves for the pressure with rho = rho_star Z(pi) as the mass
+map, which keeps rho below rho_star without any projection.
 
 The time discretization is :func:`scheme_conservative._advance`, shared with
-the conservative scheme: it picks each substep's weight w of the new pressure
-and its explicit part p_old, and does the relaxation of the momentum toward
-rho times a desired velocity (evacuation runs) and the step's diagnostics.
-This scheme supplies :func:`_fv_substep`, whose mass is rho with capacity
-rho_star, and the transport around it.  Second order combines MUSCL fluxes
-with Strang splitting that advects rho_star a half step on either side of
-the finite-volume stage, backtracking by a second-order Taylor step; first
-order advects it a full step after it by Euler backtracking.  The last
-advection uses the relaxed velocity.
+the conservative scheme: it picks each substep's weight w of the new pressure,
+its explicit part p_old and its flux state, whose velocity sets the
+characteristic feet, and does the relaxation of the momentum toward rho times
+a desired velocity (evacuation runs) and the step's diagnostics.  This scheme
+supplies :func:`_fv_substep`, whose mass is rho with capacity rho_star.
+Second order combines MUSCL fluxes with a second-order Taylor backtracking;
+first order uses donor-cell fluxes and Euler backtracking.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -47,10 +45,6 @@ from congested_euler.scheme_conservative import (
     _stage,
     relaxation_update,
 )
-
-# The projected density stays below this fraction of rho_star so the
-# pressure law is always evaluated inside its domain.
-CONGESTION_GUARD = 1e-10
 
 
 def _lagrange_weights(theta, r: int):
@@ -128,57 +122,41 @@ def semilag_advect(rho_star, velocity, dt: float, grid: Grid, r: int, order: int
     return out
 
 
-def _project_density(rho, rho_star, q1, q2, time):
-    """The state with rho clipped into [floor, (1 - guard) rho_star].
+def _fv_substep(grid, state_init, state_flux, dt, law, w, p_old, *, order, r=1):
+    """One congestion-implicit update of (rho, q) under an advected rho_star.
 
-    Returns ``(state, clamp count)``.
+    rho_star of ``state_init`` is first carried over ``dt`` along the
+    velocity of ``state_flux``, backtracking at ``order`` and interpolating
+    with stencil half-width ``r``.  The stage then solves for the pressure
+    P = p_old + w pi_new with the new density cap Z((P - p_old) / w) as its
+    map, ``cap`` that advected ceiling, ``w`` the weight of the new pressure
+    and ``p_old`` the explicit part, so rho < cap holds by construction and
+    only the density floor is clamped.
     """
-    ceiling = (1.0 - CONGESTION_GUARD) * rho_star
-    clamps = int(np.count_nonzero(rho < DENSITY_FLOOR))
-    clamps += int(np.count_nonzero(rho > ceiling))
-    rho = np.clip(rho, DENSITY_FLOOR, ceiling)
-    state = GridState(rho=rho, q1=q1, Z=rho / rho_star, rho_star=rho_star, q2=q2,
-                      time=time)
-    return state, clamps
-
-
-def _fv_substep(grid, state_init, state_flux, dt, law, w, p_old, *, order):
-    """One congestion-implicit update of (rho, q) against a frozen rho_star.
-
-    The stage solves for the pressure P = p_old + w pi_new with the new
-    density rho_star Z((P - p_old) / w) as its map, ``w`` the weight of the
-    new pressure, ``p_old`` the explicit part and rho_star ``state_init``'s.
-    """
+    cap = semilag_advect(state_init.rho_star, state_flux.velocity, dt, grid, r, order)
     new, q_new, Pi, report, max_speed = _stage(
         grid, state_init, state_flux, dt, w, p_old, law,
-        order=order, masses=("rho",), cap=state_init.rho_star,
+        order=order, masses=("rho",), cap=cap,
     )
-    state, clamps = _project_density(
-        new["rho"], state_init.rho_star, q_new["q1"], q_new.get("q2"),
-        state_init.time + dt,
-    )
+    clamps = int(np.count_nonzero(new["rho"] < DENSITY_FLOOR))
+    rho = np.maximum(new["rho"], DENSITY_FLOOR)
+    state = GridState(rho=rho, q1=q_new["q1"], Z=rho / cap, rho_star=cap,
+                      q2=q_new.get("q2"), time=state_init.time + dt)
     return SubstepResult(state, Pi, report, clamps, max_speed)
 
 
 def step(grid, state, dt, law, *, order=2, r=1, relaxation=None):
     """Advance one time step; returns ``(new_state, StepInfo)``.
 
-    ``order=1`` runs the fully implicit donor-cell stage and then advects
-    rho_star with the updated velocity.  ``order=2`` wraps the midpoint
-    predictor and time-averaged corrector between two half-step advections
-    of rho_star.  The advection backtracks at the same ``order`` and
-    interpolates with stencil half-width ``r``.  ``relaxation`` drags
-    momentum toward rho w after the finite-volume stage, before the last
-    advection.
+    ``order=1`` is the fully implicit donor-cell step, which advects rho_star
+    over dt with the start velocity.  ``order=2`` is the midpoint predictor,
+    advecting over dt / 2 with the start velocity, and the time-averaged
+    corrector, advecting over dt with the predictor's velocity.  Each
+    advection backtracks at the same ``order`` and interpolates with stencil
+    half-width ``r``.  ``relaxation`` drags momentum toward rho w after the
+    finite-volume stage.
     """
     if order not in (1, 2):
         raise ValueError(f"unsupported order {order}")
-    st0, clamps0 = state, 0
-    if order == 2:
-        rs = semilag_advect(state.rho_star, state.velocity, 0.5 * dt, grid, r, order)
-        st0, clamps0 = _project_density(state.rho, rs, state.q1, state.q2, state.time)
-    fv, info = _advance(_fv_substep, grid, st0, dt, law, order=order,
-                        time_order=order, relaxation=relaxation)
-    rs = semilag_advect(st0.rho_star, fv.velocity, dt / order, grid, r, order)
-    out, clamps = _project_density(fv.rho, rs, fv.q1, fv.q2, fv.time)
-    return out, replace(info, clamps=clamps0 + info.clamps + clamps)
+    return _advance(partial(_fv_substep, r=r), grid, state, dt, law, order=order,
+                    time_order=order, relaxation=relaxation)

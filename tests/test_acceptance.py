@@ -125,6 +125,39 @@ def test_criterion_2_ap_rows_sl_order_1(eps):
     )
 
 
+@pytest.mark.parametrize("scheme", ["zq", "sl"])
+def test_criterion_8_limit_rows_order_1(scheme):
+    # The AP claim in the limit: at fixed dx and dt = 0.1dx, the o1 scheme
+    # tends to a discretization of the hard-congestion system as eps -> 0.
+    # Against the limit fan, its eps = 1e-10 error must fall with dx and stay
+    # within 1.1x of the eps = 1e-8 one; Newton stays within 20 iterations
+    # and the run stays off Z = 1 by at least 1e-8, so a run held just under
+    # the ceiling by clamps does not pass.
+    fan = limit_congested_solution(
+        *scenarios.riemann_states(), PressureLaw(1e-10, 2.0, 2.0)
+    )
+    err, newton, gap = {}, 0, 1.0
+    for nx in (200, 400, 800):
+        for eps in (1e-8, 1e-10):
+            run = scenarios.run_scenario(Scenario(
+                kind="riemann1d", nx=nx, scheme=scheme, order=1, epsilon=eps, t_end=0.1
+            ))
+            prof = fan.sample_profile(run.grid.centers_x, 0.1)
+            err[nx, eps] = l1_error(run.grid, run.final.rho, prof["rho"])
+            newton = max(newton, int(run.newton_max.max()))
+            gap = min(gap, 1.0 - float(run.final.Z.max()))
+    falls = err[800, 1e-10] < err[200, 1e-10]
+    settled = all(err[nx, 1e-10] <= 1.1 * err[nx, 1e-8] for nx in (200, 400, 800))
+    ok = falls and settled and newton <= 20 and gap >= 1e-8
+    _report(
+        8, f"limit rows {scheme} o1 at eps in {{1e-8,1e-10}}, dt=0.1dx", ok,
+        "L1(rho) vs limit fan at eps=1e-10: "
+        + "/".join(f"{err[nx, 1e-10]:.2e}" for nx in (200, 400, 800))
+        + f" (nx 200/400/800; falls={falls}, <=1.1x eps=1e-8: {settled}) "
+        f"newton_max={newton} 1-maxZ>={gap:.1e}",
+    )
+
+
 @pytest.fixture(scope="module")
 def smooth_reference():
     s = Scenario(

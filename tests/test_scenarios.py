@@ -295,6 +295,16 @@ def test_scenario_error_names_the_background_cfl(monkeypatch, fail_at):
         assert msg.endswith(f"background CFL of the last completed step: {cfl:.3g}")
 
 
+def test_run_scenario_stops_when_the_background_cfl_exceeds_one():
+    # dt = 0.5 dx on the colliding tube puts the first step's background
+    # waves at CFL 1.16; the run must stop there and name the cause.
+    s = Scenario(kind="riemann1d", nx=50, order=1, dt_factor=0.5)
+    with pytest.raises(scenarios.ScenarioError) as err:
+        scenarios.run_scenario(s)
+    assert err.value.step == 1
+    assert str(err.value) == "step 1 failed at t=0: background CFL 1.16 exceeds 1"
+
+
 def test_run_scenario_lets_programming_errors_through(monkeypatch):
     def broken(grid, state, dt, law, **kw):
         raise TypeError("not a numerical failure")
