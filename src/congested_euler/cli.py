@@ -41,7 +41,6 @@ _FIELD_TYPES = {
     "profile": str,
     "rho_star_const": float,
     "beta": float,
-    "sl_r": int,
     "seed": int,
 }
 _OUTPUT_KEYS = {"out": str, "format": str, "refinements": str}
@@ -100,7 +99,6 @@ def _add_common(p: _Parser, *, law_only: bool = False) -> None:
     p.add_argument("--dt-factor", dest="dt_factor", type=float)
     p.add_argument("--dt", type=float)
     p.add_argument("--frames-every", dest="frames_every", type=int)
-    p.add_argument("--sl-r", dest="sl_r", type=int, choices=(0, 1))
     p.add_argument("--beta", type=float)
     p.add_argument("--seed", type=int)
 

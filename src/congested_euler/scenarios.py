@@ -67,7 +67,6 @@ class Scenario:
     profile: str = "constant"
     rho_star_const: float = 1.0
     beta: float | None = None
-    sl_r: int = 1
     seed: int = 0
     time_order: int | None = None  # zq only: 1 with order=2 is space-only accuracy
 
@@ -83,8 +82,6 @@ class Scenario:
                 raise ValueError("time_order must be 1 or 2 and at most order")
             if self.scheme == "sl" and self.time_order != self.order:
                 raise ValueError("the sl scheme has no space-only variant")
-        if self.sl_r not in (0, 1):
-            raise ValueError("sl_r must be 0 or 1")
         if self.case not in (1, 2, 3):
             raise ValueError("collision case must be 1, 2 or 3")
         if self.profile not in _PROFILES:
@@ -239,11 +236,10 @@ def run_scenario(s: Scenario) -> ScenarioResult:
     grid = build_grid(s)
     state = build_initial_state(s, grid)
     law = s.law
+    scheme = scheme_conservative if s.scheme == "zq" else scheme_semilag
+    options = dict(order=s.order, relaxation=make_relaxation(s, grid))
     if s.scheme == "zq":
-        scheme, options = scheme_conservative, dict(time_order=s.time_order)
-    else:
-        scheme, options = scheme_semilag, dict(r=s.sl_r)
-    options.update(order=s.order, relaxation=make_relaxation(s, grid))
+        options["time_order"] = s.time_order
     h_min = min(grid.spacing)
     cfl = None  # background CFL number of the last completed step
 
@@ -338,7 +334,7 @@ def run_convergence_study(
     cache = {}
 
     def solve(scn: Scenario):
-        key = (scn.nx, scn.scheme, scn.order, scn.time_order, scn.dt, scn.sl_r)
+        key = (scn.nx, scn.scheme, scn.order, scn.time_order, scn.dt)
         if key not in cache:
             res = run_scenario(scn)
             cache[key] = (res.grid, res.final, resolved_dt(scn, res.grid))

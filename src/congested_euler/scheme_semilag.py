@@ -3,10 +3,12 @@
 The finite-volume stage advances (rho, q) only, through the condensed stage
 of :mod:`scheme_conservative`.  Each substep first carries rho_star along
 characteristics: every cell traces its foot backward through the velocity
-field and reads the old field through Lagrange interpolation on 2r + 2
-neighboring nodes.  The stage then condenses rho against that advected
-ceiling and solves for the pressure with rho = rho_star Z(pi) as the mass
-map, which keeps rho below rho_star without any projection.
+field and reads the old field through cubic Lagrange interpolation on the
+four nearest nodes per axis, clipped to the range of the nodes of the cell
+that holds the foot, so the advected ceiling stays within its data.  The
+stage then condenses rho against that advected ceiling and solves for the
+pressure with rho = rho_star Z(pi) as the mass map, which keeps rho below
+rho_star without any projection.
 
 The time discretization is :func:`scheme_conservative._advance`, shared with
 the conservative scheme: it picks each substep's weight w of the new pressure,
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import partial
 
 import numpy as np
 
@@ -34,23 +35,18 @@ from congested_euler.grid import (
     dirichlet_values,
     pad_field,
 )
-# RelaxationConfig and relaxation_update are re-exported for callers of this module
 from congested_euler.scheme_conservative import (
     DENSITY_FLOOR,
-    RelaxationConfig,
     SubstepResult,
     _advance,
     _axes,
     _offset,
     _stage,
-    relaxation_update,
 )
 
 
-def _lagrange_weights(theta, r: int):
-    """Weights on nodes j - r .. j + r + 1 for a query at fraction theta past node j."""
-    if r == 0:
-        return [1.0 - theta, theta]
+def _lagrange_weights(theta):
+    """Cubic weights on nodes j - 1 .. j + 2 for a query at fraction theta past node j."""
     tm, t0, t1, t2 = theta + 1.0, theta, theta - 1.0, theta - 2.0
     return [
         -t0 * t1 * t2 / 6.0,
@@ -91,49 +87,52 @@ def _foot_positions(grid: Grid, v, dt: float, order: int, kind: str, axis: int, 
     return np.indices(grid.shape, dtype=float)[axis] - disp / h
 
 
-def semilag_advect(rho_star, velocity, dt: float, grid: Grid, r: int, order: int):
+def semilag_advect(rho_star, velocity, dt: float, grid: Grid, order: int):
     """Trace characteristics backward and interpolate the congestion density.
 
     ``velocity`` holds one component per direction, x first; a bare array is
     the 1D velocity.  ``order`` 1 backtracks by Euler, 2 by a Taylor step
     with the upwind velocity slope.  The interpolation is the tensor product
-    of the 1D Lagrange stencils of half-width ``r`` in {0, 1} on each axis.
+    of the 1D cubic Lagrange stencils on each axis, clipped to the range of
+    the 2^d nodes of the cell that holds the foot (Bermejo and Staniforth,
+    Mon. Wea. Rev. 120, 1992): it stays within the range of its data and is
+    exact on cubics wherever the clip does not bind.
     """
-    if r not in (0, 1) or order not in (1, 2):
-        raise ValueError(
-            f"need half-width r in {{0, 1}} and backtracking order in {{1, 2}}, got {r}, {order}"
-        )
-    W = r + 1
+    if order not in (1, 2):
+        raise ValueError(f"backtracking order must be 1 or 2, got {order}")
     dvals = dirichlet_values(grid, "rho_star") if grid.has_dirichlet else None
-    pad = pad_field(grid, rho_star, W, "scalar", dvals)
+    pad = pad_field(grid, rho_star, 2, "scalar", dvals)
     if not isinstance(velocity, (tuple, list)):
         velocity = (velocity,)
     feet = []
     for (axis, h, qn), v, bcs in zip(_axes(grid), velocity, grid.bcs):
         u = _foot_positions(grid, v, dt, order, qn, axis, h)
         base, theta = _foot_base(u, grid.shape[axis], bcs)
-        feet.append((base + W - r, _lagrange_weights(theta, r)))
+        feet.append((base + 1, _lagrange_weights(theta)))
     # array-axis order, so the weights multiply as w_y * w_x
     bases, weights = zip(*feet[::-1])
     out = np.zeros(grid.shape)
-    for ks in itertools.product(range(2 * r + 2), repeat=grid.ndim):
+    lo, hi = np.inf, -np.inf
+    for ks in itertools.product(range(4), repeat=grid.ndim):
         w = math.prod(wt[k] for wt, k in zip(weights, ks))
-        out += w * pad[tuple(b + k for b, k in zip(bases, ks))]
-    return out
+        node = pad[tuple(b + k for b, k in zip(bases, ks))]
+        out += w * node
+        if all(k in (1, 2) for k in ks):  # a node of the foot's cell
+            lo, hi = np.minimum(lo, node), np.maximum(hi, node)
+    return np.clip(out, lo, hi, out=out)
 
 
-def _fv_substep(grid, state_init, state_flux, dt, law, w, p_old, *, order, r=1):
+def _fv_substep(grid, state_init, state_flux, dt, law, w, p_old, *, order):
     """One congestion-implicit update of (rho, q) under an advected rho_star.
 
     rho_star of ``state_init`` is first carried over ``dt`` along the
-    velocity of ``state_flux``, backtracking at ``order`` and interpolating
-    with stencil half-width ``r``.  The stage then solves for the pressure
-    P = p_old + w pi_new with the new density cap Z((P - p_old) / w) as its
-    map, ``cap`` that advected ceiling, ``w`` the weight of the new pressure
-    and ``p_old`` the explicit part, so rho < cap holds by construction and
-    only the density floor is clamped.
+    velocity of ``state_flux``, backtracking at ``order``.  The stage then
+    solves for the pressure P = p_old + w pi_new with the new density
+    cap Z((P - p_old) / w) as its map, ``cap`` that advected ceiling, ``w``
+    the weight of the new pressure and ``p_old`` the explicit part, so
+    rho < cap holds by construction and only the density floor is clamped.
     """
-    cap = semilag_advect(state_init.rho_star, state_flux.velocity, dt, grid, r, order)
+    cap = semilag_advect(state_init.rho_star, state_flux.velocity, dt, grid, order)
     new, q_new, Pi, report, max_speed = _stage(
         grid, state_init, state_flux, dt, w, p_old, law,
         order=order, masses=("rho",), cap=cap,
@@ -145,18 +144,17 @@ def _fv_substep(grid, state_init, state_flux, dt, law, w, p_old, *, order, r=1):
     return SubstepResult(state, Pi, report, clamps, max_speed)
 
 
-def step(grid, state, dt, law, *, order=2, r=1, relaxation=None):
+def step(grid, state, dt, law, *, order=2, relaxation=None):
     """Advance one time step; returns ``(new_state, StepInfo)``.
 
     ``order=1`` is the fully implicit donor-cell step, which advects rho_star
     over dt with the start velocity.  ``order=2`` is the midpoint predictor,
     advecting over dt / 2 with the start velocity, and the time-averaged
     corrector, advecting over dt with the predictor's velocity.  Each
-    advection backtracks at the same ``order`` and interpolates with stencil
-    half-width ``r``.  ``relaxation`` drags momentum toward rho w after the
-    finite-volume stage.
+    advection backtracks at the same ``order``.  ``relaxation`` drags
+    momentum toward rho w after the finite-volume stage.
     """
     if order not in (1, 2):
         raise ValueError(f"unsupported order {order}")
-    return _advance(partial(_fv_substep, r=r), grid, state, dt, law, order=order,
+    return _advance(_fv_substep, grid, state, dt, law, order=order,
                     time_order=order, relaxation=relaxation)

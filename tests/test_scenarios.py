@@ -37,8 +37,6 @@ def test_scenario_rejects_bad_fields():
     with pytest.raises(ValueError):
         Scenario(kind="riemann1d", nx=8, epsilon=-1.0)
     with pytest.raises(ValueError):
-        Scenario(kind="riemann1d", nx=8, sl_r=2)
-    with pytest.raises(ValueError):
         Scenario(kind="riemann1d", nx=8, order=1, time_order=2)
     with pytest.raises(ValueError):
         Scenario(kind="riemann1d", nx=8, scheme="sl", order=2, time_order=1)
@@ -319,6 +317,18 @@ def test_run_scenario_evacuation_drains_mass():
     res = scenarios.run_scenario(s)
     assert res.mass[-1] < res.mass[0]
     assert np.all(res.final.Z < 1.0)
+
+
+def test_evacuation_keeps_the_seeded_ceiling_in_its_range():
+    # An unbounded interpolation of rho* lets the ceiling sink next to the
+    # exit until the background CFL passes 1; the clipped one keeps it within
+    # the seeded range [0.9, 1.1].
+    s = Scenario(kind="evacuate2d", nx=64, t_end=1.0, scheme="sl", order=1,
+                 epsilon=1e-4, profile="random", seed=2, frames_every=64)
+    res = scenarios.run_scenario(s)
+    assert res.frames[-1][0] == pytest.approx(1.0)
+    for _, state in res.frames:
+        assert 0.9 <= state.rho_star.min() and state.rho_star.max() <= 1.1
 
 
 # ---------------------------------------------------------------------------
