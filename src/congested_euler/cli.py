@@ -2,9 +2,10 @@
 
 Subcommands map onto the shipped experiments; every run resolves its
 parameters from per-command defaults, an optional key=value config file, and
-explicit flags (in that order), then writes frames plus a manifest echoing
-the resolved values.  Exit codes: 0 on success, 1 on usage errors, 2 when
-the solver fails mid-run (the manifest records the failing step).
+explicit flags (in that order), then writes frames, the per-step record
+(diagnostics.csv) and a manifest echoing the resolved values.  Exit codes: 0
+on success, 1 on usage errors, 2 when the solver fails mid-run (the manifest
+records the failing step, diagnostics.csv the steps that returned).
 """
 
 from __future__ import annotations
@@ -15,11 +16,9 @@ import dataclasses
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import scenarios
-from .grid import Grid, GridState
-from .output import write_error_table, write_frame, write_frames, write_manifest
+from .grid import Grid, GridState, l1_error
+from .output import write_diagnostics, write_error_table, write_frame, write_frames, write_manifest
 from .pressure import PressureLaw
 from .riemann import solve_riemann
 from .scenarios import Scenario, ScenarioError
@@ -187,6 +186,16 @@ def _scenario_payload(s: Scenario, values: dict) -> dict:
     return payload
 
 
+def _failed(manifest: dict, outdir: Path, exc: ScenarioError) -> int:
+    """Record a failed run: its steps, the manifest naming the failing step, exit 2."""
+    if exc.result is not None:
+        manifest.update(write_diagnostics(exc.result, outdir / "diagnostics.csv"))
+    manifest.update(status="failed", failing_step=exc.step, error=str(exc))
+    write_manifest(outdir / "manifest.json", manifest)
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
+
+
 def _cmd_run(command: str, values: dict) -> int:
     s = _make_scenario(command, values)
     outdir = Path(values["out"])
@@ -198,22 +207,24 @@ def _cmd_run(command: str, values: dict) -> int:
     try:
         result = scenarios.run_scenario(s)
     except ScenarioError as exc:
-        manifest.update(status="failed", failing_step=exc.step, error=str(exc))
-        write_manifest(outdir / "manifest.json", manifest)
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _failed(manifest, outdir, exc)
     manifest.update(
         status="ok",
         failing_step=None,
-        steps=len(result.newton_max),
+        **write_diagnostics(result, outdir / "diagnostics.csv"),
         frames=write_frames(result, outdir, fmt),
         mass_initial=float(result.mass[0]),
         mass_final=float(result.mass[-1]),
         newton_max=int(result.newton_max.max()),
         max_speed=float(result.max_speed.max()),
     )
+    if command == "riemann":
+        fan = solve_riemann(*scenarios.riemann_states(), s.law)
+        exact = fan.sample_profile(result.grid.centers_x, s.t_end)
+        manifest["l1_error"] = {name: l1_error(result.grid, getattr(result.final, name), exact[name])
+                                for name in scenarios._STUDY_VARS}
     write_manifest(outdir / "manifest.json", manifest)
-    print(f"{command}: {len(result.newton_max)} steps, " f"wrote {outdir}")
+    print(f"{command}: {len(result.steps)} steps, wrote {outdir}")
     return 0
 
 
@@ -280,10 +291,7 @@ def _cmd_convergence(values: dict) -> int:
     try:
         report = scenarios.run_convergence_study(s, dxs)
     except ScenarioError as exc:
-        manifest.update(status="failed", failing_step=exc.step, error=str(exc))
-        write_manifest(outdir / "manifest.json", manifest)
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _failed(manifest, outdir, exc)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     write_error_table(report, outdir / "errors.csv")

@@ -113,6 +113,23 @@ def write_error_table(report, path) -> None:
                      ["dx", "dt", *report.errors])
 
 
+def write_diagnostics(result, path) -> dict:
+    """A run's record, one row per step at its end time: the step's worst Newton
+    count and final residual, background CFL, clamps and pressure switch.
+
+    Returns the manifest's totals: steps, clamps and switched steps.
+    """
+    steps = result.steps
+    with open(path, "w") as fh:
+        _write_table(fh, [result.times[1:], result.mass[1:], result.newton_max,
+                          [max(r.residual for r in i.reports) for i in steps],
+                          result.max_speed * np.diff(result.times) / min(result.grid.spacing),
+                          [i.clamps for i in steps], [i.switched for i in steps]],
+                     ["t", "mass", "newton", "residual", "cfl", "clamps", "switched"])
+    return dict(steps=len(steps), clamps=sum(i.clamps for i in steps),
+                switched_steps=sum(i.switched for i in steps))
+
+
 def write_manifest(path, payload: dict) -> None:
     tmp = f"{path}.tmp"
     with open(tmp, "w") as fh:

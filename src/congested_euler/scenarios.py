@@ -2,7 +2,7 @@
 
 A Scenario bundles everything needed to reproduce a run: initial profile,
 grid, scheme selection, law parameters, and time stepping.  run_scenario
-integrates it and keeps light diagnostics; run_convergence_study measures L1
+integrates it and keeps each step's record; run_convergence_study measures L1
 errors against a fine second-order reference and fits log-log slopes.
 """
 
@@ -206,12 +206,14 @@ def make_relaxation(s: Scenario, grid: Grid) -> RelaxationConfig | None:
 
 
 class ScenarioError(RuntimeError):
-    """A scheme step failed; carries the 1-based step index and its start time."""
+    """A step failed; carries its 1-based index, start time and, as ``result``,
+    the ScenarioResult of the steps that returned."""
 
-    def __init__(self, step: int, time: float, message: str):
+    def __init__(self, step: int, time: float, message: str, result=None):
         super().__init__(message)
         self.step = step
         self.time = time
+        self.result = result
 
 
 @dataclass
@@ -219,13 +221,21 @@ class ScenarioResult:
     scenario: Scenario
     grid: Grid
     frames: list  # (time, GridState) pairs
-    mass: np.ndarray  # rho mass, one entry per recorded time level
-    newton_max: np.ndarray  # worst Newton iteration count per step
-    max_speed: np.ndarray  # explicit-part wave speed per step
+    times: np.ndarray  # time of each level, 0 first
+    mass: np.ndarray  # rho mass at each time level
+    steps: list  # the scheme's StepInfo of each step
 
     @property
     def final(self) -> GridState:
         return self.frames[-1][1]
+
+    @property
+    def newton_max(self) -> np.ndarray:  # worst Newton iteration count of each step
+        return np.array([i.newton_iterations for i in self.steps], dtype=int)
+
+    @property
+    def max_speed(self) -> np.ndarray:  # explicit-part wave speed of each step
+        return np.array([i.max_speed for i in self.steps], dtype=float)
 
 
 def resolved_dt(s: Scenario, grid: Grid) -> float:
@@ -246,9 +256,10 @@ def run_scenario(s: Scenario) -> ScenarioResult:
     dt0 = resolved_dt(s, grid)
     steps = max(1, math.ceil(s.t_end / dt0 - 1e-9))
     frames = [(0.0, state.copy())]
-    mass = [total_mass(grid, state.rho)]
-    newton = np.zeros(steps, dtype=int)
-    speed = np.zeros(steps)
+    times, mass, infos = [0.0], [total_mass(grid, state.rho)], []
+
+    def record():
+        return ScenarioResult(s, grid, frames, np.array(times), np.array(mass), infos)
 
     for k in range(1, steps + 1):
         t_prev = (k - 1) * dt0
@@ -260,28 +271,21 @@ def run_scenario(s: Scenario) -> ScenarioResult:
             last = "no step completed" if cfl is None else f"{cfl:.3g}"
             raise ScenarioError(
                 k, t_prev, f"step {k} failed at t={t_prev:.6g}: {exc}; "
-                f"background CFL of the last completed step: {last}",
+                f"background CFL of the last completed step: {last}", record(),
             ) from exc
+        t = k * dt0 if k < steps else s.t_end
+        state.time = t
+        times.append(t)
+        mass.append(total_mass(grid, state.rho))
+        infos.append(info)
         cfl = info.max_speed * dt / h_min
         if cfl > 1.0:
             raise ScenarioError(k, t_prev, f"step {k} failed at t={t_prev:.6g}: "
-                                f"background CFL {cfl:.3g} exceeds 1")
-        t = k * dt0 if k < steps else s.t_end
-        state.time = t
-        newton[k - 1] = info.newton_iterations
-        speed[k - 1] = info.max_speed
-        mass.append(total_mass(grid, state.rho))
+                                f"background CFL {cfl:.3g} exceeds 1", record())
         if k == steps or (s.frames_every and k % s.frames_every == 0):
             frames.append((t, state.copy()))
 
-    return ScenarioResult(
-        scenario=s,
-        grid=grid,
-        frames=frames,
-        mass=np.array(mass),
-        newton_max=newton,
-        max_speed=speed,
-    )
+    return record()
 
 
 # ---------------------------------------------------------------------------

@@ -366,7 +366,7 @@ def test_criterion_6_desk_scale_2d_sanity(collide_case1_run):
         )
     ok = ok and worst_col <= 1e-12
     details.append(f"y-invariant column defect {worst_col:.1e} (both schemes)")
-    details.append("qualitative frames: scripts/run_collisions.py (inspection)")
+    details.append("qualitative frames: congested-euler collide2d --case N (inspection)")
     _report(6, "128x128 rotation symmetry and 1D embedding", ok, " ".join(details))
 
 

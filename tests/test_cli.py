@@ -1,12 +1,16 @@
 """Command line behavior: resolution order, exit codes, artifacts, determinism."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from congested_euler import cli, scenarios
+from congested_euler import cli, scenarios, scheme_conservative
+from congested_euler.grid import l1_error
 from congested_euler.output import read_frame
+from congested_euler.pressure import PressureLaw
+from congested_euler.riemann import solve_riemann
 
 
 def read_manifest(outdir):
@@ -192,3 +196,83 @@ def test_evacuate_different_seed_differs(tmp_path):
     a = (out1 / "frame_000001.csv").read_bytes()
     b = (out2 / "frame_000001.csv").read_bytes()
     assert a != b
+
+
+# ---------------------------------------------------------------------------
+# the per-step record: diagnostics.csv and the manifest totals
+
+
+def read_diagnostics(outdir):
+    return np.genfromtxt(outdir / "diagnostics.csv", delimiter=",", names=True, ndmin=1)
+
+
+def test_run_writes_one_diagnostics_row_per_step(tmp_path):
+    out = tmp_path / "run"
+    assert cli.main(["riemann", "--nx", "40", "--t-end", "0.01", "--out", str(out)]) == 0
+    manifest = read_manifest(out)
+    rows = read_diagnostics(out)
+    assert rows.dtype.names == ("t", "mass", "newton", "residual", "cfl", "clamps", "switched")
+    assert len(rows) == manifest["steps"] == 4
+    assert rows["t"][-1] == pytest.approx(0.01)
+    assert rows["mass"][-1] == manifest["mass_final"]
+    assert rows["newton"].max() == manifest["newton_max"]
+    assert np.all(rows["residual"] <= 1e-10)
+    assert rows["cfl"].max() == pytest.approx(manifest["max_speed"] * 0.1)
+    assert manifest["clamps"] == 0 and manifest["switched_steps"] == 0
+
+
+def test_forced_clamp_and_switch_appear_in_the_record(tmp_path, monkeypatch):
+    real_step = scheme_conservative.step
+    calls = []
+
+    def forced(grid, state, dt, law, **kw):
+        new, info = real_step(grid, state, dt, law, **kw)
+        calls.append(0)
+        if len(calls) % 4 == 2:  # the second step of each four-step run
+            info = dataclasses.replace(info, clamps=2, switched=True)
+        return new, info
+
+    monkeypatch.setattr(scheme_conservative, "step", forced)
+    result = scenarios.run_scenario(scenarios.Scenario(kind="riemann1d", nx=40, t_end=0.01))
+    assert [(i.clamps, i.switched) for i in result.steps] == [
+        (0, False), (2, True), (0, False), (0, False)
+    ]
+    out = tmp_path / "run"
+    assert cli.main(["riemann", "--nx", "40", "--t-end", "0.01", "--out", str(out)]) == 0
+    manifest = read_manifest(out)
+    assert manifest["clamps"] == 2 and manifest["switched_steps"] == 1
+    rows = read_diagnostics(out)
+    assert list(rows["clamps"]) == [0, 2, 0, 0]
+    assert list(rows["switched"]) == [0, 1, 0, 0]
+
+
+def test_riemann_manifest_l1_error_against_the_exact_fan(tmp_path):
+    out = tmp_path / "run"
+    args = ["riemann", "--nx", "40", "--t-end", "0.01", "--eps", "1e-3", "--out", str(out)]
+    assert cli.main(args) == 0
+    s = scenarios.Scenario(kind="riemann1d", nx=40, t_end=0.01, epsilon=1e-3)
+    result = scenarios.run_scenario(s)
+    fan = solve_riemann(*scenarios.riemann_states(), PressureLaw(1e-3, 2.0, 2.0))
+    exact = fan.sample_profile(result.grid.centers_x, 0.01)
+    expected = {
+        name: l1_error(result.grid, getattr(result.final, name), exact[name])
+        for name in ("rho", "q1", "Z", "rho_star")
+    }
+    assert read_manifest(out)["l1_error"] == expected
+    assert all(0.0 < err < 0.1 for err in expected.values())
+
+
+def test_failed_run_keeps_its_record(tmp_path, capsys):
+    # README's example at the default order 2: the undamped corrector lets
+    # the velocity grow until a step fails; where it fails depends on rounding
+    out = tmp_path / "run"
+    args = ["riemann", "--eps", "1e-4", "--nx", "1000", "--t-end", "0.1", "--out", str(out)]
+    assert cli.main(args) == 2
+    manifest = read_manifest(out)
+    assert manifest["status"] == "failed"
+    rows = read_diagnostics(out)
+    assert len(rows) == manifest["steps"] >= manifest["failing_step"] - 1 >= 1
+    assert f"{rows['cfl'][-1]:.3g}" in manifest["error"]  # the CFL the error names
+    assert manifest["clamps"] == int(rows["clamps"].sum()) == 0
+    assert manifest["switched_steps"] == int(rows["switched"].sum())
+    assert "error: step" in capsys.readouterr().err

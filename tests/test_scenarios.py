@@ -303,6 +303,33 @@ def test_run_scenario_stops_when_the_background_cfl_exceeds_one():
     assert str(err.value) == "step 1 failed at t=0: background CFL 1.16 exceeds 1"
 
 
+def test_scenario_error_keeps_the_steps_that_returned(monkeypatch):
+    # the CFL stop keeps the step it stopped on; a solver failure keeps the
+    # steps before the failing one
+    with pytest.raises(scenarios.ScenarioError) as err:
+        scenarios.run_scenario(Scenario(kind="riemann1d", nx=50, order=1, dt_factor=0.5))
+    res = err.value.result
+    assert len(res.steps) == 1 and len(res.mass) == len(res.times) == 2
+    assert res.max_speed[0] * res.times[1] / res.grid.dx == pytest.approx(1.16, abs=5e-3)
+
+    real_step = scheme_conservative.step
+
+    def explode(grid, state, dt, law, **kw):
+        if len(calls) == 2:
+            report = NewtonReport(iterations=99, residual=1.0, converged=False)
+            raise NewtonError("diverged", report)
+        calls.append(0)
+        return real_step(grid, state, dt, law, **kw)
+
+    calls = []
+    monkeypatch.setattr(scheme_conservative, "step", explode)
+    with pytest.raises(scenarios.ScenarioError) as err:
+        scenarios.run_scenario(Scenario(kind="smooth1d", nx=16, t_end=0.1))
+    res = err.value.result
+    assert err.value.step == 3 and len(res.steps) == 2
+    assert np.array_equal(res.times, [0.0, 0.1 / 16, 2 * 0.1 / 16])
+
+
 def test_run_scenario_lets_programming_errors_through(monkeypatch):
     def broken(grid, state, dt, law, **kw):
         raise TypeError("not a numerical failure")
