@@ -29,7 +29,7 @@ def face_states(padded, width, axis, order):
     and ``i``, so faces 0 and n sit on the domain boundary.  Both returned
     arrays hold the face axis last.
     """
-    a = np.moveaxis(np.asarray(padded, dtype=float), axis, -1)
+    a = np.asarray(padded, dtype=float).swapaxes(axis, -1)
     a = a[(slice(width, -width),) * (a.ndim - 1)]
     n = a.shape[-1] - 2 * width
     if order == 1:
@@ -38,7 +38,7 @@ def face_states(padded, width, axis, order):
         raise ValueError(f"unsupported reconstruction order {order}")
     if width < 2:
         raise ValueError("second-order faces need two ghost layers")
-    d = np.diff(a, axis=-1)
+    d = a[..., 1:] - a[..., :-1]
     mm = minmod(d[..., :-1], d[..., 1:])
     ctr = a[..., 1:-1]
     left = ctr + 0.5 * mm
@@ -49,7 +49,7 @@ def face_states(padded, width, axis, order):
 def div_from_faces(flux, axis, h):
     """Per-cell divergence (F_{i+1} - F_i) / h of a face array (face axis last)."""
     d = (flux[..., 1:] - flux[..., :-1]) / h
-    return np.moveaxis(d, -1, axis)
+    return d.swapaxes(-1, axis)
 
 
 def max_wave_speed(rho, qn, Z, law):

@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components, depth_first_order
 
 LEFT, RIGHT, BOTTOM, TOP = range(4)
 
@@ -100,13 +100,18 @@ class GhostMap:
 
     ``src`` holds, per padded cell, the flat interior index it aliases, or
     ``-1 - side`` for cells carrying a fixed exterior value.  The sign arrays
-    apply to the x and y momentum components respectively.
+    apply to the x and y momentum components respectively.  ``gather`` is
+    ``src`` clipped at 0, the index that padding reads, ``fixed`` the mask
+    of the fixed-value cells and ``fixed_side`` their sides in mask order.
     """
 
     width: int
     src: np.ndarray
     sign_q1: np.ndarray
     sign_q2: np.ndarray
+    gather: np.ndarray
+    fixed: np.ndarray
+    fixed_side: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -140,6 +145,7 @@ class Grid:
     bc_y: tuple | None = None
     _ghost_maps: dict = field(default_factory=dict, repr=False, compare=False)
     _patterns: dict = field(default_factory=dict, repr=False, compare=False)
+    _dirichlet: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.nx < 1:
@@ -205,7 +211,7 @@ class Grid:
         """Sides in the order LEFT, RIGHT, BOTTOM, TOP."""
         return tuple(bc for pair in self.bcs for bc in pair)
 
-    @property
+    @cached_property
     def has_dirichlet(self) -> bool:
         return any(isinstance(bc, Dirichlet) for bc in self.boundaries)
 
@@ -234,7 +240,8 @@ class Grid:
             newly = (fixed < 0) & (side >= 0)
             fixed[newly] = 2 * k + side[newly]
         flat = np.ravel_multi_index(tuple(v[::-1]), self.shape, mode="clip")
-        return GhostMap(w, np.where(fixed < 0, flat, -1 - fixed), *signs)
+        src = np.where(fixed < 0, flat, -1 - fixed)
+        return GhostMap(w, src, *signs, np.maximum(src, 0), fixed >= 0, fixed[fixed >= 0])
 
 
 def _shifted(grid: Grid, padded, width: int, offset):
@@ -271,6 +278,7 @@ def _build_pattern(grid: Grid, width: int, offsets: tuple) -> StencilPattern:
 
 def _chains(keys, n: int) -> dict:
     """Chain fields of a 1D :class:`StencilPattern` from its sorted entry keys."""
+    from scipy.sparse.csgraph import connected_components, depth_first_order
     rows, cols = np.divmod(keys, n)
     off = rows != cols
     graph = sp.csr_matrix((np.ones(off.sum()), (rows[off], cols[off])), shape=(n, n))
@@ -305,20 +313,17 @@ def pad_field(grid: Grid, values, width: int, kind: str = "scalar", dirichlet=No
     constant) and is required when any side holds a fixed state.
     """
     gm = grid.ghost_map(width)
-    flat = np.asarray(values, dtype=float).ravel()
-    out = flat[np.maximum(gm.src, 0)]
+    out = np.asarray(values, dtype=float).ravel().take(gm.gather)
     if kind == "q1":
         out = out * gm.sign_q1
     elif kind == "q2":
         out = out * gm.sign_q2
     elif kind != "scalar":
         raise ValueError(f"unknown field kind {kind!r}")
-    fixed = gm.src < 0
-    if fixed.any():
+    if gm.fixed_side.size:
         if dirichlet is None:
             raise ValueError("fixed-state side present but no exterior values given")
-        dvals = np.asarray(dirichlet, dtype=float)
-        out[fixed] = dvals[-1 - gm.src[fixed]]
+        out[gm.fixed] = np.asarray(dirichlet, dtype=float)[gm.fixed_side]
     return out
 
 
@@ -328,11 +333,18 @@ def interior(grid: Grid, padded, width: int):
 
 
 def dirichlet_values(grid: Grid, name: str) -> np.ndarray:
-    """Per-side exterior values of a named state field (nan on other sides)."""
-    vals = np.full(4, np.nan)
-    for side, bc in enumerate(grid.boundaries):
-        if isinstance(bc, Dirichlet):
-            vals[side] = bc.value(name)
+    """Per-side exterior values of a named state field (nan on other sides).
+
+    Built once per grid and field; the array is read-only.
+    """
+    vals = grid._dirichlet.get(name)
+    if vals is None:
+        vals = np.full(4, np.nan)
+        for side, bc in enumerate(grid.boundaries):
+            if isinstance(bc, Dirichlet):
+                vals[side] = bc.value(name)
+        vals.flags.writeable = False
+        grid._dirichlet[name] = vals
     return vals
 
 

@@ -98,7 +98,7 @@ def read_frame(path) -> dict[str, np.ndarray]:
     cols = {name: data[:, k] for k, name in enumerate(header)}
     if "y" not in cols:
         return cols
-    nx = int(np.argmax(cols["x"][1:] < cols["x"][:-1])) + 1
+    nx = int(np.count_nonzero(cols["y"] == cols["y"][0]))
     ny = data.shape[0] // nx
     shaped = {name: col.reshape(ny, nx) for name, col in cols.items()}
     shaped["x"] = shaped["x"][0]

@@ -43,9 +43,9 @@ class PressureLaw:
 
 
 def _check_fraction(Z, allow_above_one: bool):
-    if np.any(np.asarray(Z) < 0.0):
+    if (np.asarray(Z) < 0.0).any():
         raise DomainError("congestion fraction Z must be nonnegative")
-    if not allow_above_one and np.any(np.asarray(Z) >= 1.0 - DELTA_GUARD):
+    if not allow_above_one and (np.asarray(Z) >= 1.0 - DELTA_GUARD).any():
         raise CongestionGuardError(
             "Z within the guard distance of 1; singular pressure undefined"
         )
@@ -85,7 +85,7 @@ def singular_pressure_inverse(pi, law: PressureLaw):
     Maps [0, inf) onto [0, 1); the congestion bound Z < 1 holds for any
     nonnegative argument, which is what makes solving in the pi variable safe.
     """
-    if np.any(np.asarray(pi) < 0.0):
+    if (np.asarray(pi) < 0.0).any():
         raise DomainError("congestion pressure must be nonnegative")
     s = (pi / law.epsilon) ** (1.0 / law.alpha)
     return s / (1.0 + s)
@@ -131,7 +131,7 @@ def eigenvalues(rho, q1, Z, law: PressureLaw, include_singular: bool = True):
     ``include_singular`` is False (the relevant speeds for Rusanov diffusion
     and time-step bounds) and the full stiff law otherwise.
     """
-    if np.any(np.asarray(rho) <= 0.0):
+    if (np.asarray(rho) <= 0.0).any():
         raise DomainError("density must be positive")
     v = q1 / rho
     c = np.sqrt((Z / rho) * total_pressure_deriv(Z, law, include_singular))

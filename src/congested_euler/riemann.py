@@ -13,6 +13,9 @@ state is the unique intersection of the forward curve from the left state
 :func:`limit_congested_solution` builds the epsilon -> 0 fan of a collision
 strong enough to congest, where the middle region sits exactly on the bound
 Z = 1 and carries a finite residual pressure p_bar.
+
+scipy's ``integrate`` and ``optimize`` load on first use, inside the functions
+that call them, so importing the package does not pay for them.
 """
 
 from __future__ import annotations
@@ -21,8 +24,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
-from scipy.optimize import brentq
 
 from congested_euler.pressure import (
     PressureLaw,
@@ -107,6 +108,7 @@ def hugoniot_velocity(Z, hat: PrimState, law: PressureLaw, family: int,
 def rarefaction_velocity(Z, hat: PrimState, law: PressureLaw, family: int,
                          include_singular: bool = True) -> float:
     """Velocity on the family-1/3 integral curve through ``hat``, at congestion Z."""
+    from scipy.integrate import IntegrationWarning, quad
     rstar = hat.rho_star
 
     # dv = sqrt(P'(s) / rho*) / s ds grows like s^((gamma - 3) / 2) at s = 0;
@@ -172,6 +174,7 @@ class RiemannFan:
     root_count: int
 
     def _fan_state(self, family: int, xi: float) -> PrimState:
+        from scipy.optimize import brentq
         if family == 1:
             hat, z_in, z_out = self.left, self.mid_left.Z, self.left.Z
         else:
@@ -242,6 +245,7 @@ def solve_riemann(left: PrimState, right: PrimState, law: PressureLaw,
     singular law on, velocities diverge there, so this means the middle state
     is numerically indistinguishable from the congested limit).
     """
+    from scipy.optimize import brentq
     if include_singular:
         for s in (left, right):
             if not s.Z < Z_CEIL:
@@ -321,6 +325,7 @@ def limit_congested_solution(left: PrimState, right: PrimState,
     :class:`NotCongestedError` when the background-law fan alone resolves the
     data (its middle state stays below Z = 1).
     """
+    from scipy.optimize import brentq
     for s in (left, right):
         if not s.Z < 1.0:
             raise ValueError("input states must satisfy Z < 1")

@@ -109,13 +109,16 @@ def semilag_advect(rho_star, velocity, dt: float, grid: Grid, order: int):
         u = _foot_positions(grid, v, dt, order, qn, axis, h)
         base, theta = _foot_base(u, grid.shape[axis], bcs)
         feet.append((base + 1, _lagrange_weights(theta)))
-    # array-axis order, so the weights multiply as w_y * w_x
+    # array-axis order, so the weights multiply as w_y * w_x; node ks sits
+    # sum(k * stride) past the flat base index in the padded array
     bases, weights = zip(*feet[::-1])
+    base, flat = np.ravel_multi_index(bases, pad.shape), pad.ravel()
+    strides = [math.prod(pad.shape[a + 1:]) for a in range(grid.ndim)]
     out = np.zeros(grid.shape)
     lo, hi = np.inf, -np.inf
     for ks in itertools.product(range(4), repeat=grid.ndim):
         w = math.prod(wt[k] for wt, k in zip(weights, ks))
-        node = pad[tuple(b + k for b, k in zip(bases, ks))]
+        node = flat[sum(k * s for k, s in zip(ks, strides)):].take(base)
         out += w * node
         if all(k in (1, 2) for k in ks):  # a node of the foot's cell
             lo, hi = np.minimum(lo, node), np.maximum(hi, node)

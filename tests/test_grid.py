@@ -159,3 +159,44 @@ def test_wall_pad_antisymmetric_momentum(n, w):
     for k in range(w):
         assert out[w - 1 - k] == -out[w + k]
         assert out[w + n + k] == -out[w + n - 1 - k]
+
+
+SIDE_KINDS = {
+    "periodic": (Periodic(), Periodic()),
+    "wall": (Wall(), Wall()),
+    "outflow": (OutflowWindow(0.3, 0.6), Wall()),
+    "dirichlet": (Dirichlet(rho=0.7, q1=0.8, Z=0.5, q2=-0.1), Dirichlet(rho=0.6, q1=-0.2, Z=0.4)),
+}
+
+
+def gather_pad(grid, values, width, kind, dirichlet):
+    """Padding read through the ghost map's raw ``src``, fixed cells filled after."""
+    gm = grid.ghost_map(width)
+    out = np.ravel(values)[np.maximum(gm.src, 0)]
+    out = out * {"scalar": 1.0, "q1": gm.sign_q1, "q2": gm.sign_q2}[kind]
+    fixed = gm.src < 0
+    out[fixed] = np.asarray(dirichlet)[-1 - gm.src[fixed]]
+    return out
+
+
+@pytest.mark.parametrize("x_sides", sorted(SIDE_KINDS))
+@pytest.mark.parametrize("y_sides", [None, *sorted(SIDE_KINDS)])
+def test_pad_field_matches_gather_through_src(x_sides, y_sides):
+    g = Grid(nx=7, bc_x=SIDE_KINDS[x_sides], ny=None if y_sides is None else 5,
+             bc_y=None if y_sides is None else SIDE_KINDS[y_sides])
+    rng = np.random.default_rng(3)
+    f = rng.standard_normal(g.shape)
+    dvals = np.array([1.5, 2.5, 3.5, 4.5])
+    for width in (1, 2):
+        for kind in ("scalar", "q1", "q2")[: g.ndim + 1]:
+            assert np.array_equal(pad_field(g, f, width, kind, dvals),
+                                  gather_pad(g, f, width, kind, dvals))
+
+
+def test_dirichlet_values_are_read_only():
+    g = Grid(nx=4, bc_x=SIDE_KINDS["dirichlet"])
+    vals = dirichlet_values(g, "rho")
+    assert dirichlet_values(g, "rho") is vals
+    with pytest.raises(ValueError):
+        vals[LEFT] = 1.0
+    assert vals[LEFT] == 0.7

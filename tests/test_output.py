@@ -110,3 +110,16 @@ def test_manifest_roundtrip(tmp_path):
     path = tmp_path / "manifest.json"
     output.write_manifest(path, payload)
     assert json.loads(path.read_text()) == payload
+
+
+@pytest.mark.parametrize("nx, ny", [(4, 1), (1, 3)])
+def test_csv_roundtrip_one_row_or_column_2d(tmp_path, nx, ny):
+    grid, state = state_2d(nx, ny)
+    path = tmp_path / "frame.csv"
+    output.write_frame(state, grid, path, "csv")
+    back = output.read_frame(path)
+    assert np.array_equal(back["x"], grid.centers_x)
+    assert np.array_equal(back["y"], grid.centers_y)
+    for name in ("rho", "q1", "q2", "Z", "rho_star"):
+        assert back[name].shape == grid.shape
+        assert np.array_equal(back[name], getattr(state, name))

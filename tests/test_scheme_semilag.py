@@ -6,6 +6,9 @@ the finite-volume substep against an independent roll-based flux route; the
 full step against conservation, column invariance, and the exact fan.
 """
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +23,9 @@ from congested_euler.grid import (
     OutflowWindow,
     Periodic,
     Wall,
+    dirichlet_values,
     l1_error,
+    pad_field,
     total_mass,
 )
 from congested_euler.pressure import PressureLaw, singular_pressure
@@ -153,6 +158,43 @@ def test_interpolation_stays_within_its_data(seed, scale, time_order, grid):
     out = sl.semilag_advect(field, velocity, 0.1 * grid.dx * scale, grid, order=time_order)
     assert np.all(out >= field.min())
     assert np.all(out <= field.max())
+
+
+def tuple_index_advect(rho_star, velocity, dt, grid, order):
+    """semilag_advect with each node read by a tuple of index arrays."""
+    dvals = dirichlet_values(grid, "rho_star") if grid.has_dirichlet else None
+    pad = pad_field(grid, rho_star, 2, "scalar", dvals)
+    feet = []
+    for (axis, h, qn), v, bcs in zip(zq._axes(grid), velocity, grid.bcs):
+        u = sl._foot_positions(grid, v, dt, order, qn, axis, h)
+        base, theta = sl._foot_base(u, grid.shape[axis], bcs)
+        feet.append((base + 1, sl._lagrange_weights(theta)))
+    bases, weights = zip(*feet[::-1])
+    out = np.zeros(grid.shape)
+    lo, hi = np.inf, -np.inf
+    for ks in itertools.product(range(4), repeat=grid.ndim):
+        w = math.prod(wt[k] for wt, k in zip(weights, ks))
+        node = pad[tuple(b + k for b, k in zip(bases, ks))]
+        out += w * node
+        if all(k in (1, 2) for k in ks):
+            lo, hi = np.minimum(lo, node), np.maximum(hi, node)
+    return np.clip(out, lo, hi, out=out)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("grid", [
+    Grid(nx=24, ny=40, bc_x=(Wall(), Wall()), bc_y=(OutflowWindow(0.4, 0.6), Wall())),
+    Grid(nx=30),
+    Grid(nx=30, bc_x=(Dirichlet(rho=0.7, q1=0.8, Z=0.5), Dirichlet(rho=0.6, q1=-0.3, Z=0.4))),
+])
+def test_semilag_advect_matches_tuple_index_reads(grid, order):
+    rng = np.random.default_rng(7)
+    field = 0.3 + 1.7 * rng.random(grid.shape)
+    velocity = [2.0 * rng.random(grid.shape) - 1.0 for _ in range(grid.ndim)]
+    # feet up to three cells away, so some leave the domain
+    dt = 3.0 * min(grid.spacing)
+    out = sl.semilag_advect(field, velocity, dt, grid, order)
+    assert np.array_equal(out, tuple_index_advect(field, velocity, dt, grid, order))
 
 
 def test_semilag_config_validation():
