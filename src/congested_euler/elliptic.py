@@ -23,7 +23,10 @@ The Newton iteration is inexact in 2D, with the forcing terms of Eisenstat
 and Walker (SIAM J. Sci. Comput. 17, 1996, choice 2): CG stops at a relative
 tolerance that follows the Newton convergence rate, 0.9 (r_k / r_{k-1})^2 in
 the max-norm residual, at most 0.1, and never looser than the last step
-needs to land on the exact-Newton root (see :func:`solve_newton`).  The 1D
+needs to land on the exact-Newton root (see :func:`solve_newton`).  The
+first tolerance comes from a one-point probe, the quantity of their choice
+1: how far the residual departs from its linear model at the Jacobi step.
+A linear problem departs by nothing and still lands in one step.  The 1D
 solves are direct.
 """
 
@@ -236,11 +239,15 @@ def solve_newton(problem: EllipticProblem, u0, *, lower=None, iterate_hook=None)
     stalled line search or when ``MAX_ITER`` iterations do not converge.
 
     Each linear stage is solved only as far as the next step can use: its
-    relative tolerance starts at max(CG_RTOL, c TOL_ABS / r_0) and, after
-    each accepted iterate, becomes 0.9 (r_k / r_{k-1})^2, raised to
-    0.9 eta_prev^2 when that exceeds 0.1, then clipped to
+    relative tolerance starts at eta_land = max(CG_RTOL, c TOL_ABS / r_0)
+    and, after each accepted iterate, becomes 0.9 (r_k / r_{k-1})^2, raised
+    to 0.9 eta_prev^2 when that exceeds 0.1, then clipped to
     [max(c TOL_ABS / r_k, CG_RTOL), 0.1], with r the max-norm residual and
-    c = ``FORCING_FLOOR``.  Only the 2D CG solve reads it.
+    c = ``FORCING_FLOOR``.  Only the 2D CG solve reads it, so only a 2D solve
+    raises the first one to min(0.1, max(eta_land, m / r_0)), m the max-norm
+    of f(u_j) - f(u_0) - f'(u_0) (u_j - u_0) at CG's first (Jacobi) step u_j.
+    The operator part of F is linear, so m is F's whole departure from its
+    linear model there: 0 on a linear problem, whose first step still lands.
     """
     grid = problem.op.grid
     lo = None if lower is None else np.asarray(lower, dtype=float).ravel()
@@ -257,6 +264,11 @@ def solve_newton(problem: EllipticProblem, u0, *, lower=None, iterate_hook=None)
     eta = max(CG_RTOL, FORCING_FLOOR * TOL_ABS / res)
     for it in range(1, MAX_ITER + 1):
         fp = np.asarray(problem.fprime(u), dtype=float).ravel()
+        if it == 1 and grid.ndim == 2:
+            # F's departure from its linear model at CG's first (Jacobi) step
+            u_j = clip(u - F / (problem.op._negated()[0] + fp))
+            miss = np.max(np.abs(problem.f(u_j) - problem.f(u) - fp * (u_j - u)))
+            eta = min(0.1, max(eta, float(miss) / res))
         delta = _solve_linear(problem.op, fp, -F, eta)
         if not np.all(np.isfinite(delta)):
             raise NewtonError("non-finite Newton step", NewtonReport(it, res, False))

@@ -96,6 +96,8 @@ class Scenario:
         if self.kind in _2D_KINDS:
             if self.ny is None:
                 object.__setattr__(self, "ny", self.nx)
+            elif self.ny < 1:
+                raise ValueError("ny must be positive")
         elif self.ny is not None:
             raise ValueError(f"{self.kind} is one-dimensional; ny is not allowed")
         if self.kind == "evacuate2d":

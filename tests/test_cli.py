@@ -28,6 +28,13 @@ def test_bad_flag_value_is_usage_error(capsys):
     assert cli.main(["riemann", "--eps", "-1", "--nx", "8"]) == 1
 
 
+def test_zero_ny_is_usage_error_and_creates_nothing(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert cli.main(["collide2d", "--ny", "0", "--out", str(out)]) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("ceiling", ["0.6", "0"])
 def test_evacuate_ceiling_at_or_below_initial_density_is_usage_error(tmp_path, capsys, ceiling):
     args = ["evacuate", "--rho-star-const", ceiling, "--nx", "8", "--out", str(tmp_path)]

@@ -4,6 +4,8 @@ import scipy.sparse as sp
 
 from congested_euler.elliptic import (
     CG_RTOL,
+    FORCING_FLOOR,
+    TOL_ABS,
     DiffusionOperator,
     EllipticProblem,
     LinearSolveError,
@@ -277,17 +279,35 @@ def test_cg_stops_at_requested_tolerance(monkeypatch, case):
     assert counts[0] < counts[1]
 
 
-def test_forcing_reaches_exact_newton_root_with_fewer_cg_iterations(monkeypatch):
-    # zq's pressure map on congested data (Z in [0.9, 0.99]) over a walled
-    # room with an exit window
+def cg_rtols(monkeypatch):
+    """Wrap ``elliptic.cg`` so each call appends the ``rtol`` it receives."""
     import congested_euler.elliptic as elliptic
 
+    real_cg, rtols = elliptic.cg, []
+
+    def cg(S, b, **kw):
+        rtols.append(kw["rtol"])
+        return real_cg(S, b, **kw)
+
+    monkeypatch.setattr(elliptic, "cg", cg)
+    return rtols
+
+
+def congested_room():
+    """(problem, u0): zq's pressure map on congested data (Z in [0.9, 0.99])
+    over a walled room with an exit window, started at Z = 0.5."""
     law = PressureLaw(epsilon=1e-4, alpha=2.0, gamma=2.0)
     rng = np.random.default_rng(3)
     grid = Grid(nx=24, ny=20, bc_x=(Wall(), Wall()), bc_y=(OutflowWindow(0.3, 0.7), Wall()))
     op = DiffusionOperator(grid, 2, stride2_terms(grid, 0.5 + rng.random(grid.shape), 1.0))
     problem = pressure_problem(grid, op, 0.9 + 0.09 * rng.random(grid.size), law)
-    u0 = np.full(grid.shape, singular_pressure(0.5, law))
+    return problem, np.full(grid.shape, singular_pressure(0.5, law))
+
+
+def test_forcing_reaches_exact_newton_root_with_fewer_cg_iterations(monkeypatch):
+    import congested_euler.elliptic as elliptic
+
+    problem, u0 = congested_room()
     counts = counting_cg(monkeypatch)
 
     u_inexact, inexact = solve_newton(problem, u0, lower=0.0)
@@ -304,6 +324,70 @@ def test_forcing_reaches_exact_newton_root_with_fewer_cg_iterations(monkeypatch)
     assert inexact.iterations == exact.iterations
     np.testing.assert_allclose(u_inexact, u_exact, rtol=0, atol=1e-12)
     assert inexact_cg < sum(counts)
+
+
+def test_first_forcing_is_loose_on_congested_data(monkeypatch):
+    # far from linear, the first Newton step gains little from an exact solve
+    problem, u0 = congested_room()
+    rtols = cg_rtols(monkeypatch)
+    _, report = solve_newton(problem, u0, lower=0.0)
+    assert report.converged
+    assert rtols[0] >= 1e-3
+
+
+@pytest.mark.parametrize("case", [4, 5, 6])
+def test_first_forcing_lands_linear_problems(monkeypatch, case):
+    # a linear f matches its linear model exactly, so the first solve keeps
+    # the tolerance that lands on the root in one step
+    grid = GRID_CASES[case]
+    op = make_operator(grid, scale=0.2)
+    A, b = op.matrix()
+    u_exact = RNG.random(grid.size)
+    problem = identity_problem(op, u_exact - (A @ u_exact + b))
+    u0 = RNG.random(grid.shape)
+    r0 = np.max(np.abs(problem.residual(u0.ravel())))
+    rtols = cg_rtols(monkeypatch)
+    solve_newton(problem, u0)
+    assert rtols[0] == max(CG_RTOL, FORCING_FLOOR * TOL_ABS / r0)
+
+
+def counted_f(problem):
+    """Wrap ``problem.f`` and ``problem.residual`` so each counts its calls."""
+    calls = {"f": 0, "residual": 0}
+    f, residual = problem.f, problem.residual
+
+    def counting_f(u):
+        calls["f"] += 1
+        return f(u)
+
+    def counting_residual(u):
+        calls["residual"] += 1
+        return residual(u)
+
+    problem.f, problem.residual = counting_f, counting_residual
+    return calls
+
+
+def test_forcing_probe_costs_two_f_evaluations_per_2d_solve():
+    # 1D: f only inside residuals
+    grid = Grid(nx=24, bc_x=(Wall(), Wall()))
+    op = DiffusionOperator(grid, 2, stride2_terms(grid, 0.5 + RNG.random(24), 0.05))
+    problem = pressure_problem(grid, op, 0.2 + 0.7 * RNG.random(24))
+    calls = counted_f(problem)
+    _, report = solve_newton(problem, np.full(24, 0.1), lower=0.0)
+    assert report.converged and report.iterations > 1
+    assert calls["f"] == calls["residual"]
+    # 2D: two more for the probe of a solve that iterates, none for one that
+    # starts at its root
+    problem, u0 = congested_room()
+    calls = counted_f(problem)
+    u, report = solve_newton(problem, u0, lower=0.0)
+    assert report.converged and report.iterations > 1
+    assert calls["f"] == calls["residual"] + 2
+    calls.update(f=0, residual=0)
+    _, report = solve_newton(problem, u, lower=0.0)
+    assert report.iterations == 0
+    assert calls["f"] == calls["residual"] == 1
 
 
 @pytest.mark.parametrize("case", sorted(CHAIN_SHAPES))

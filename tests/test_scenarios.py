@@ -33,6 +33,8 @@ def test_scenario_rejects_bad_fields():
     with pytest.raises(ValueError):
         Scenario(kind="collide2d", nx=8, case=4)
     with pytest.raises(ValueError):
+        Scenario(kind="collide2d", nx=8, ny=0)
+    with pytest.raises(ValueError):
         Scenario(kind="evacuate2d", nx=8, profile="bumpy")
     with pytest.raises(ValueError):
         Scenario(kind="riemann1d", nx=8, epsilon=-1.0)
