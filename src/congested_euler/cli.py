@@ -5,7 +5,8 @@ parameters from per-command defaults, an optional key=value config file, and
 explicit flags (in that order), then writes frames, the per-step record
 (diagnostics.csv) and a manifest echoing the resolved values.  Exit codes: 0
 on success, 1 on usage errors, 2 when the solver fails mid-run (the manifest
-records the failing step, diagnostics.csv the steps that returned).
+records the failing step, diagnostics.csv the steps that returned) or when
+exact-riemann finds no resolvable fan.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from pathlib import Path
 from . import scenarios
 from .grid import Grid, GridState, l1_error
 from .output import write_diagnostics, write_error_table, write_frame, write_frames, write_manifest
-from .pressure import PressureLaw
-from .riemann import solve_riemann
+from .riemann import CongestionLimitError, VacuumError, solve_riemann
 from .scenarios import Scenario, ScenarioError
 
 # scenario fields settable via config/flags, with their parsers
@@ -229,17 +229,20 @@ def _cmd_run(command: str, values: dict) -> int:
 
 
 def _cmd_exact_riemann(values: dict) -> int:
-    law = PressureLaw(values["epsilon"], values["alpha"], values["gamma"])
-    left, right = scenarios.riemann_states()
-    fan = solve_riemann(left, right, law)
-    grid = Grid(nx=values["nx"])
-    prof = fan.sample_profile(grid.centers_x, values["t_end"])
+    s = _make_scenario("riemann", values)
+    try:
+        fan = solve_riemann(*scenarios.riemann_states(), s.law)
+    except (VacuumError, CongestionLimitError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    grid = Grid(nx=s.nx)
+    prof = fan.sample_profile(grid.centers_x, s.t_end)
     state = GridState(
         rho=prof["rho"],
         q1=prof["q1"],
         Z=prof["Z"],
         rho_star=prof["rho_star"],
-        time=values["t_end"],
+        time=s.t_end,
     )
     outdir = Path(values["out"])
     outdir.mkdir(parents=True, exist_ok=True)
@@ -248,14 +251,14 @@ def _cmd_exact_riemann(values: dict) -> int:
     write_frame(state, grid, outdir / name, fmt)
     manifest = {
         "command": "exact-riemann",
-        "nx": values["nx"],
-        "t_end": values["t_end"],
-        "epsilon": values["epsilon"],
-        "alpha": values["alpha"],
-        "gamma": values["gamma"],
+        "nx": s.nx,
+        "t_end": s.t_end,
+        "epsilon": s.epsilon,
+        "alpha": s.alpha,
+        "gamma": s.gamma,
         "out": str(outdir),
         "format": fmt,
-        "frames": [{"file": name, "time": values["t_end"]}],
+        "frames": [{"file": name, "time": s.t_end}],
         "waves": [
             {
                 "family": w.family,

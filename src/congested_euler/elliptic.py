@@ -184,7 +184,10 @@ def _solve_cyclic_tridiagonal(d, up, b, first, last):
         dt[last] -= c * c / sigma
         rhs[first, 1] = sigma
         rhs[last, 1] = c
-    *_, sol, info = dptsv(dt, e[:-1], rhs, overwrite_d=1, overwrite_e=1, overwrite_b=1)
+    # ptsv's wrapper wants one off-diagonal entry even for a single position
+    *_, sol, info = dptsv(
+        dt, e[:max(d.size - 1, 1)], rhs, overwrite_d=1, overwrite_e=1, overwrite_b=1
+    )
     if info != 0:
         msg = f"tridiagonal system not positive definite at chain position {info - 1}"
         raise LinearSolveError(msg, info, d)

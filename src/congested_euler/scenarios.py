@@ -86,13 +86,17 @@ class Scenario:
             raise ValueError("collision case must be 1, 2 or 3")
         if self.profile not in _PROFILES:
             raise ValueError(f"unknown congestion profile {self.profile!r}")
-        for name in ("nx", "epsilon", "alpha", "gamma", "t_end", "dt_factor"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.dt is not None and self.dt <= 0:
-            raise ValueError("dt must be positive")
+        for name in ("nx", "epsilon", "alpha", "gamma", "t_end", "dt_factor", "dt"):
+            v = getattr(self, name)
+            if v is not None and not (0 < v < math.inf):  # NaN fails too
+                raise ValueError(f"{name} must be positive and finite")
+        object.__setattr__(self, "_law", PressureLaw(self.epsilon, self.alpha, self.gamma))
         if self.frames_every < 0:
             raise ValueError("frames_every must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if not math.isfinite(self.rho_star_const):
+            raise ValueError("rho_star_const must be finite")
         if self.kind in _2D_KINDS:
             if self.ny is None:
                 object.__setattr__(self, "ny", self.nx)
@@ -103,8 +107,10 @@ class Scenario:
         if self.kind == "evacuate2d":
             if self.beta is None:
                 object.__setattr__(self, "beta", EVACUATION_BETA)
-            if self.beta <= 0:
-                raise ValueError("beta must be positive")
+            if not (0 < self.beta < math.inf):
+                raise ValueError("beta must be positive and finite")
+            if min(self.nx, self.ny) < 2:
+                raise ValueError("the room's walls need nx and ny of at least 2")
             if self.profile == "constant" and self.rho_star_const <= EVACUATION_RHO:
                 raise ValueError(
                     f"rho_star_const must exceed the initial density {EVACUATION_RHO}"
@@ -112,7 +118,7 @@ class Scenario:
 
     @property
     def law(self) -> PressureLaw:
-        return PressureLaw(self.epsilon, self.alpha, self.gamma)
+        return self._law
 
 
 def riemann_states() -> tuple[PrimState, PrimState]:

@@ -4,14 +4,14 @@ One step advances (rho, q, Z) with Rusanov transport of the convective terms
 and the background pressure, while the congestion pressure acts at the new
 time level (first order) or as a time average (second order).
 
-Both schemes share one condensed implicit stage, :func:`_stage`: explicit
-fluxes, elimination of the momentum from the mass updates, one nonlinear
-elliptic solve for the pressure, back-substitution.  The pressure is the
-Newton unknown of both schemes, with one mass map cap Z(pi).  This scheme
-condenses both Z and rho, takes capacity 1 (its first mass is Z itself),
-and clamps both masses at a density floor.  Keeping the new pressure
-implicit keeps the admissible time step bounded away from zero as the
-stiffness parameter vanishes.
+Both schemes share one condensed implicit stage, :func:`_stage`, the whole
+of each substep: explicit fluxes, elimination of the momentum from the mass
+updates, one nonlinear elliptic solve for the pressure, back-substitution
+and the density floor.  The pressure is the Newton unknown of both schemes,
+with one mass map cap Z(pi).  This scheme condenses both Z and rho and takes
+capacity 1 (its first mass is Z itself).  Keeping the new pressure implicit
+keeps the admissible time step bounded away from zero as the stiffness
+parameter vanishes.
 
 Both schemes also share one time discretization, :func:`_advance`, the only
 place that knows the time weighting.  It hands every substep a pair
@@ -123,25 +123,27 @@ def _offset(grid: Grid, axis: int, k: int):
     return tuple([k if a == axis else 0 for a in range(grid.ndim)])
 
 
-def _stage(grid, state_init, state_flux, dt, w, p_old, law, *, order, masses, cap):
-    """The condensed implicit stage that both schemes share.
+def _stage(grid, state_init, state_flux, dt, w, p_old, law, *, order, cap=None):
+    """One substep of either scheme: the condensed implicit stage.
 
     Rusanov fluxes at ``state_flux`` advance the momentum explicitly to mt,
     and the new momentum is q_new = mt - dt grad Pi.  Substituting it into
-    the update of each mass m in ``masses`` ("Z" or "rho") leaves
+    the update of each condensed mass m ("Z" or "rho") leaves
     m_new = phi_m + L_m Pi, with phi_m explicit and L_m the stride-2 second
     difference weighted by w dt^2 / (4 h^2) * m / rho, where ``w`` weights
     q_new against the initial momentum in the mass fluxes.
 
-    The one Newton unknown is the pressure Pi = p_old + w pi_new, with the
-    first mass cap Z((Pi - p_old) / w) as its map: ``cap`` is 1 when that
-    mass is Z and the advected ceiling rho_star when it is rho.  Newton starts
-    from the congestion pressure of ``state_flux``'s Z and keeps Pi >= p_old;
-    when w < 1 a raw iterate below that bound raises
-    :class:`PressureSwitchTriggered`, at w = 1 it is only clipped.  Returns
-    the new masses and momenta by name, Pi, the Newton report and the
-    largest wave speed.
+    ``cap=None`` condenses Z and rho with capacity 1 (the conservative
+    scheme); an array ``cap``, the advected ceiling rho_star of the
+    semi-Lagrangian scheme, condenses rho alone.  The one Newton unknown is
+    the pressure Pi = p_old + w pi_new, with the first mass cap Z((Pi -
+    p_old) / w) as its map.  Newton starts from the congestion pressure of
+    ``state_flux``'s Z and keeps Pi >= p_old; when w < 1 a raw iterate below
+    that bound raises :class:`PressureSwitchTriggered`, at w = 1 it is only
+    clipped.  Returns the :class:`SubstepResult`, masses floored at
+    ``DENSITY_FLOOR`` (Z = rho / cap when ``cap`` is given).
     """
+    masses = ("Z", "rho") if cap is None else ("rho",)
     W = GHOST_WIDTH
     mass_p = {m: state_flux.padded(grid, m, W) for m in ("rho", "Z")}
     mom_p = {qn: state_flux.padded(grid, qn, W) for _, _, qn in _axes(grid)}
@@ -197,13 +199,13 @@ def _stage(grid, state_init, state_flux, dt, w, p_old, law, *, order, masses, ca
     # telescope exactly, so total mass is conserved to rounding regardless
     # of the Newton stopping residual.
     op, phi = condense(masses[0])
-    po, cap = np.ravel(p_old), np.ravel(cap)
+    po, capacity = np.ravel(p_old), np.ravel(1.0 if cap is None else cap)
     floor = inverse_slope_floor(law)
     problem = EllipticProblem(
         op=op,
         rhs=phi,
-        f=lambda u: cap * singular_pressure_inverse((u - po) / w, law),
-        fprime=lambda u: cap * singular_pressure_inverse_deriv(
+        f=lambda u: capacity * singular_pressure_inverse((u - po) / w, law),
+        fprime=lambda u: capacity * singular_pressure_inverse_deriv(
             np.maximum((u - po) / w, floor), law
         ) / w,
     )
@@ -236,49 +238,37 @@ def _stage(grid, state_init, state_flux, dt, w, p_old, law, *, order, masses, ca
     for m in masses[1:]:
         op, phi = condense(m)
         new[m] = phi + op.apply(Pi)
-    return new, q_new, Pi, report, max_speed
-
-
-def _substep(grid, state_init, state_flux, dt, law, w, p_old, *, order):
-    """One implicit-pressure update from ``state_init`` with fluxes at ``state_flux``.
-
-    Condenses Z and rho, so the stage's pressure map is Z((P - p_old) / w)
-    itself (capacity 1), and clamps both masses at the density floor.
-    """
-    new, q_new, Pi, report, max_speed = _stage(
-        grid, state_init, state_flux, dt, w, p_old, law,
-        order=order, masses=("Z", "rho"), cap=1.0,
-    )
     clamps = sum(int(np.count_nonzero(m < DENSITY_FLOOR)) for m in new.values())
-    rho_new, Z_new = (np.maximum(new[m], DENSITY_FLOOR) for m in ("rho", "Z"))
-    state = GridState(
-        rho=rho_new,
-        q1=q_new["q1"],
-        Z=Z_new,
-        rho_star=rho_new / Z_new,
-        q2=q_new.get("q2"),
-        time=state_init.time + dt,
-    )
+    rho = np.maximum(new["rho"], DENSITY_FLOOR)
+    if cap is None:
+        Z = np.maximum(new["Z"], DENSITY_FLOOR)
+        rho_star = rho / Z
+    else:
+        Z, rho_star = rho / cap, cap
+    state = GridState(rho=rho, q1=q_new["q1"], Z=Z, rho_star=rho_star,
+                      q2=q_new.get("q2"), time=state_init.time + dt)
     return SubstepResult(state, Pi, report, clamps, max_speed)
 
 
-def _advance(substep, grid, state, dt, law, *, order, time_order, relaxation):
+def _advance(grid, state, dt, law, *, order, time_order, relaxation, advect=None):
     """The time discretization both schemes share; returns ``(state, StepInfo)``.
 
-    ``substep(grid, state, state_flux, dt, law, w, p_old, order=order)`` runs
-    one condensed stage from the step's start state with fluxes at
-    ``state_flux``, for the pressure P = p_old + w pi_new; this is the only
-    place that chooses ``(w, p_old)``.  ``time_order=1`` is one implicit
-    substep, (1, 0).  ``time_order=2`` is a midpoint predictor over dt / 2,
-    (1, 0), and a corrector over dt with fluxes at the predictor state and
-    the time-averaged pressure, (1/2, p(Z) / 2) with Z the start state's,
-    redone implicitly when the corrector raises
-    :class:`PressureSwitchTriggered`.  ``relaxation`` then drags the momenta
-    toward rho w, using the stage's density.
+    Every substep is one :func:`_stage` from the step's start state with
+    fluxes at a flux state, for the pressure P = p_old + w pi_new; this is
+    the only place that chooses ``(w, p_old)``.  ``advect``, when given,
+    carries the start rho_star over each substep with the flux state's
+    velocity, and the stage condenses rho under that ``cap``.
+    ``time_order=1`` is one implicit substep, (1, 0).  ``time_order=2`` is a
+    midpoint predictor over dt / 2, (1, 0), and a corrector over dt with
+    fluxes at the predictor state and the time-averaged pressure,
+    (1/2, p(Z) / 2) with Z the start state's, redone implicitly when the
+    corrector raises :class:`PressureSwitchTriggered`.  ``relaxation`` then
+    drags the momenta toward rho w, using the stage's density.
     """
 
-    def sub(state_flux, h, w, p_old):
-        return substep(grid, state, state_flux, h, law, w, p_old, order=order)
+    def sub(flux, h, w, p_old):
+        cap = None if advect is None else advect(state.rho_star, flux.velocity, h, grid, order)
+        return _stage(grid, state, flux, h, w, p_old, law, order=order, cap=cap)
 
     switched = False
     if time_order == 1:
@@ -318,5 +308,5 @@ def step(grid, state, dt, law, *, order=2, time_order=None, relaxation=None):
         time_order = order
     if order not in (1, 2) or time_order not in (1, 2) or time_order > order:
         raise ValueError(f"unsupported order pair ({order}, {time_order})")
-    return _advance(_substep, grid, state, dt, law, order=order,
+    return _advance(grid, state, dt, law, order=order,
                     time_order=time_order, relaxation=relaxation)

@@ -15,7 +15,8 @@ the conservative scheme: it picks each substep's weight w of the new pressure,
 its explicit part p_old and its flux state, whose velocity sets the
 characteristic feet, and does the relaxation of the momentum toward rho times
 a desired velocity (evacuation runs) and the step's diagnostics.  This scheme
-supplies :func:`_fv_substep`, whose mass is rho with capacity rho_star.
+supplies only the transport of rho_star, :func:`semilag_advect`; the stage
+takes the advected field as the capacity of its one mass, rho.
 Second order combines MUSCL fluxes with a second-order Taylor backtracking;
 first order uses donor-cell fluxes and Euler backtracking.
 """
@@ -29,20 +30,12 @@ import numpy as np
 
 from congested_euler.grid import (
     Grid,
-    GridState,
     Periodic,
     _shifted,
     dirichlet_values,
     pad_field,
 )
-from congested_euler.scheme_conservative import (
-    DENSITY_FLOOR,
-    SubstepResult,
-    _advance,
-    _axes,
-    _offset,
-    _stage,
-)
+from congested_euler.scheme_conservative import _advance, _axes, _offset
 
 
 def _lagrange_weights(theta):
@@ -125,28 +118,6 @@ def semilag_advect(rho_star, velocity, dt: float, grid: Grid, order: int):
     return np.clip(out, lo, hi, out=out)
 
 
-def _fv_substep(grid, state_init, state_flux, dt, law, w, p_old, *, order):
-    """One congestion-implicit update of (rho, q) under an advected rho_star.
-
-    rho_star of ``state_init`` is first carried over ``dt`` along the
-    velocity of ``state_flux``, backtracking at ``order``.  The stage then
-    solves for the pressure P = p_old + w pi_new with the new density
-    cap Z((P - p_old) / w) as its map, ``cap`` that advected ceiling, ``w``
-    the weight of the new pressure and ``p_old`` the explicit part, so
-    rho < cap holds by construction and only the density floor is clamped.
-    """
-    cap = semilag_advect(state_init.rho_star, state_flux.velocity, dt, grid, order)
-    new, q_new, Pi, report, max_speed = _stage(
-        grid, state_init, state_flux, dt, w, p_old, law,
-        order=order, masses=("rho",), cap=cap,
-    )
-    clamps = int(np.count_nonzero(new["rho"] < DENSITY_FLOOR))
-    rho = np.maximum(new["rho"], DENSITY_FLOOR)
-    state = GridState(rho=rho, q1=q_new["q1"], Z=rho / cap, rho_star=cap,
-                      q2=q_new.get("q2"), time=state_init.time + dt)
-    return SubstepResult(state, Pi, report, clamps, max_speed)
-
-
 def step(grid, state, dt, law, *, order=2, relaxation=None):
     """Advance one time step; returns ``(new_state, StepInfo)``.
 
@@ -159,5 +130,5 @@ def step(grid, state, dt, law, *, order=2, relaxation=None):
     """
     if order not in (1, 2):
         raise ValueError(f"unsupported order {order}")
-    return _advance(_fv_substep, grid, state, dt, law, order=order,
-                    time_order=order, relaxation=relaxation)
+    return _advance(grid, state, dt, law, order=order, time_order=order,
+                    relaxation=relaxation, advect=semilag_advect)

@@ -35,6 +35,46 @@ def test_zero_ny_is_usage_error_and_creates_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["riemann", "--gamma", "1"],
+        ["riemann", "--eps", "nan"],
+        ["riemann", "--t-end", "inf"],
+        ["riemann", "--dt", "nan"],
+        ["riemann", "--dt-factor", "nan"],
+        ["evacuate", "--profile", "random", "--seed", "-1"],
+        ["evacuate", "--beta", "nan", "--nx", "8", "--t-end", "0.01"],
+        ["evacuate", "--rho-star-const", "nan"],
+        ["evacuate", "--nx", "1"],
+        ["exact-riemann", "--t-end", "nan"],
+        ["exact-riemann", "--t-end", "-1"],
+        ["exact-riemann", "--nx", "0"],
+        ["exact-riemann", "--gamma", "1"],
+    ],
+    ids=lambda flags: " ".join(flags),
+)
+def test_bad_values_are_usage_errors_and_create_nothing(tmp_path, capsys, flags):
+    out = tmp_path / "run"
+    assert cli.main(flags + ["--out", str(out)]) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_exact_riemann_without_a_resolvable_fan_exits_2(tmp_path, capsys):
+    out = tmp_path / "exact"
+    assert cli.main(["exact-riemann", "--eps", "1e-300", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("order", ["1", "2"])
+def test_one_cell_riemann_tube_runs(tmp_path, order):
+    out = tmp_path / "run"
+    assert cli.main(["riemann", "--nx", "1", "--order", order, "--out", str(out)]) == 0
+    assert read_manifest(out)["status"] == "ok"
+
+
 @pytest.mark.parametrize("ceiling", ["0.6", "0"])
 def test_evacuate_ceiling_at_or_below_initial_density_is_usage_error(tmp_path, capsys, ceiling):
     args = ["evacuate", "--rho-star-const", ceiling, "--nx", "8", "--out", str(tmp_path)]

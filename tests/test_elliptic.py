@@ -444,6 +444,13 @@ def test_cyclic_tridiagonal_matches_dense():
         np.testing.assert_allclose(x, np.linalg.solve(M, b), rtol=0, atol=1e-12)
 
 
+def test_tridiagonal_solve_of_one_position():
+    # a one-cell 1D grid leaves one chain of one position and no coupling
+    none = np.zeros(0, dtype=np.int64)
+    x = _solve_cyclic_tridiagonal(np.array([2.0]), np.array([0.0]), np.array([3.0]), none, none)
+    assert np.array_equal(x, [1.5])
+
+
 def assert_diagonally_dominant(problem, fp):
     """-A is a weighted graph Laplacian, so the Newton matrix diag(fp) - A
     is diagonally dominant with a positive diagonal wherever fp > 0."""

@@ -42,6 +42,20 @@ def test_scenario_rejects_bad_fields():
         Scenario(kind="riemann1d", nx=8, order=1, time_order=2)
     with pytest.raises(ValueError):
         Scenario(kind="riemann1d", nx=8, scheme="sl", order=2, time_order=1)
+    nan, inf = float("nan"), float("inf")
+    for bad in (
+        dict(gamma=1.0), dict(epsilon=nan), dict(alpha=nan), dict(t_end=nan),
+        dict(t_end=inf), dict(dt=nan), dict(dt_factor=nan), dict(seed=-1),
+        dict(rho_star_const=nan),
+    ):
+        with pytest.raises(ValueError):
+            Scenario(kind="riemann1d", nx=8, **bad)
+    for bad in (
+        dict(nx=8, beta=nan), dict(nx=8, beta=inf), dict(nx=8, rho_star_const=nan),
+        dict(nx=8, rho_star_const=inf), dict(nx=1), dict(nx=8, ny=1),
+    ):
+        with pytest.raises(ValueError):
+            Scenario(kind="evacuate2d", **bad)
     Scenario(kind="riemann1d", nx=8, order=2, time_order=1)
 
 

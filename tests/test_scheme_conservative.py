@@ -75,6 +75,12 @@ def roll_substep(grid, st_init, st_flux, dt, law, pi, w_new, order):
     return rho_new, q_new, Z_new
 
 
+def substep(grid, st_init, st_flux, dt, law, w, p_old, *, order, advect=None):
+    """One substep as ``_advance`` runs it: ``advect``, if given, sets the capacity."""
+    cap = None if advect is None else advect(st_init.rho_star, st_flux.velocity, dt, grid, order)
+    return sc._stage(grid, st_init, st_flux, dt, w, p_old, law, order=order, cap=cap)
+
+
 @pytest.mark.parametrize("order", [1, 2])
 @pytest.mark.parametrize("ndim", [1, 2])
 def test_constant_state_is_a_fixed_point(order, ndim):
@@ -103,7 +109,7 @@ def test_periodic_substep_matches_flux_route(w_new, old_share, order):
     state = smooth_state(grid)
     dt = 0.1 * grid.dx
     p_old = old_share * singular_pressure(state.Z, LAW)
-    res = sc._substep(grid, state, state, dt, LAW, w_new, p_old, order=order)
+    res = substep(grid, state, state, dt, LAW, w_new, p_old, order=order)
     rho_o, q_o, Z_o = roll_substep(grid, state, state, dt, LAW, res.pi, w_new, order)
     np.testing.assert_allclose(res.state.rho, rho_o, rtol=0, atol=1e-13)
     np.testing.assert_allclose(res.state.q1, q_o, rtol=0, atol=1e-13)
@@ -122,9 +128,9 @@ def test_corrector_uses_distinct_flux_state():
     grid = Grid(nx=32)
     state = smooth_state(grid)
     dt = 0.1 * grid.dx
-    half = sc._substep(grid, state, state, 0.5 * dt, LAW, 1.0, 0.0, order=2)
+    half = substep(grid, state, state, 0.5 * dt, LAW, 1.0, 0.0, order=2)
     p_old = 0.5 * singular_pressure(state.Z, LAW)
-    res = sc._substep(grid, state, half.state, dt, LAW, 0.5, p_old, order=2)
+    res = substep(grid, state, half.state, dt, LAW, 0.5, p_old, order=2)
     rho_o, q_o, Z_o = roll_substep(
         grid, state, half.state, dt, LAW, res.pi, 0.5, 2
     )
@@ -288,11 +294,11 @@ def test_stiff_law_stays_robust():
 
 
 @pytest.mark.parametrize(
-    "substep,stepper",
-    [(sc._substep, sc.step), (ssl._fv_substep, ssl.step)],
+    "advect,stepper",
+    [(None, sc.step), (ssl.semilag_advect, ssl.step)],
     ids=["zq", "sl"],
 )
-def test_pressure_switch_triggers_on_violent_release(substep, stepper):
+def test_pressure_switch_triggers_on_violent_release(advect, stepper):
     # An almost-congested cell between loose neighbors releases its pressure
     # far faster than the time average can track: the implicit diffusion
     # drags the averaged unknown below pi_old / 2, so the corrector aborts.
@@ -302,10 +308,10 @@ def test_pressure_switch_triggers_on_violent_release(substep, stepper):
     rho[16] = 0.999
     state = GridState.from_primitives(grid, rho, 0.0, 1.0)
     dt = 0.1 * grid.dx
-    half = substep(grid, state, state, 0.5 * dt, LAW, 1.0, 0.0, order=2)
+    half = substep(grid, state, state, 0.5 * dt, LAW, 1.0, 0.0, order=2, advect=advect)
     p_old = 0.5 * singular_pressure(state.Z, LAW)
     with pytest.raises(sc.PressureSwitchTriggered):
-        substep(grid, state, half.state, dt, LAW, 0.5, p_old, order=2)
+        substep(grid, state, half.state, dt, LAW, 0.5, p_old, order=2, advect=advect)
     new, info = stepper(grid, state, dt, LAW, order=2)
     assert info.switched
     assert np.all(np.isfinite(new.rho)) and np.all(new.Z < 1.0)
@@ -329,7 +335,7 @@ def test_implicit_substep_clips_negative_iterates_without_switching(monkeypatch)
         return newton(problem, u0, iterate_hook=record, **kwargs)
 
     monkeypatch.setattr(sc, "solve_newton", spy)
-    res = sc._substep(grid, state, state, dt, LAW, 1.0, 0.0, order=2)
+    res = substep(grid, state, state, dt, LAW, 1.0, 0.0, order=2)
     assert hooks == [None]
     assert min(lows) < 0.0
     assert res.report.converged and np.all(res.pi >= 0.0)
@@ -402,7 +408,7 @@ def test_space_only_second_order_is_one_implicit_substep():
     state = smooth_state(grid, base_rho=0.7, amp=0.1)
     dt = 0.1 * grid.dx
     new, info = sc.step(grid, state, dt, LAW, order=2, time_order=1)
-    want = sc._substep(grid, state, state, dt, LAW, 1.0, 0.0, order=2)
+    want = substep(grid, state, state, dt, LAW, 1.0, 0.0, order=2)
     assert np.array_equal(new.rho, want.state.rho)
     assert np.array_equal(new.q1, want.state.q1)
     assert np.array_equal(new.Z, want.state.Z)

@@ -288,6 +288,12 @@ def roll_fv_substep(grid, st_init, st_flux, dt, law, pi, w_new, order):
     return rho_new, q_new
 
 
+def fv_substep(grid, st_init, st_flux, dt, law, w, p_old, *, order):
+    """The sl scheme's substep: the shared stage under rho* advected over dt."""
+    cap = sl.semilag_advect(st_init.rho_star, st_flux.velocity, dt, grid, order)
+    return zq._stage(grid, st_init, st_flux, dt, w, p_old, law, order=order, cap=cap)
+
+
 # (w, share of pi_old in p_old): the implicit substep and the corrector
 WEIGHTS = [
     pytest.param(1.0, 0.0, id="implicit-1.0"),
@@ -302,7 +308,7 @@ def test_periodic_fv_substep_matches_flux_route(w_new, old_share, order):
     state = smooth_state(grid)
     dt = 0.1 * grid.dx
     p_old = old_share * singular_pressure(state.Z, LAW)
-    res = sl._fv_substep(grid, state, state, dt, LAW, w_new, p_old, order=order)
+    res = fv_substep(grid, state, state, dt, LAW, w_new, p_old, order=order)
     rho_o, q_o = roll_fv_substep(grid, state, state, dt, LAW, res.pi, w_new, order)
     np.testing.assert_allclose(res.state.rho, rho_o, rtol=0, atol=1e-13)
     np.testing.assert_allclose(res.state.q1, q_o, rtol=0, atol=1e-13)
@@ -319,9 +325,9 @@ def test_corrector_uses_distinct_flux_state():
     grid = Grid(nx=32)
     state = smooth_state(grid)
     dt = 0.1 * grid.dx
-    half = sl._fv_substep(grid, state, state, 0.5 * dt, LAW, 1.0, 0.0, order=2)
+    half = fv_substep(grid, state, state, 0.5 * dt, LAW, 1.0, 0.0, order=2)
     p_old = 0.5 * singular_pressure(state.Z, LAW)
-    res = sl._fv_substep(grid, state, half.state, dt, LAW, 0.5, p_old, order=2)
+    res = fv_substep(grid, state, half.state, dt, LAW, 0.5, p_old, order=2)
     rho_o, q_o = roll_fv_substep(grid, state, half.state, dt, LAW, res.pi, 0.5, 2)
     np.testing.assert_allclose(res.state.rho, rho_o, rtol=0, atol=1e-13)
     np.testing.assert_allclose(res.state.q1, q_o, rtol=0, atol=1e-13)
@@ -351,8 +357,8 @@ def test_substeps_of_both_schemes_agree_at_unit_capacity(grid, order, w, old_sha
     state = GridState.from_primitives(grid, rho, v1, 1.0, v2)
     dt = 0.1 * grid.dx
     p_old = old_share * singular_pressure(state.Z, LAW)
-    a = zq._substep(grid, state, state, dt, LAW, w, p_old, order=order)
-    b = sl._fv_substep(grid, state, state, dt, LAW, w, p_old, order=order)
+    a = zq._stage(grid, state, state, dt, w, p_old, LAW, order=order)
+    b = fv_substep(grid, state, state, dt, LAW, w, p_old, order=order)
     for name in ("rho", "q1", "q2", "Z", "rho_star"):
         got, want = getattr(a.state, name), getattr(b.state, name)
         if want is None:
