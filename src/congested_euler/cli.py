@@ -2,7 +2,8 @@
 
 Subcommands map onto the shipped experiments; every run resolves its
 parameters from per-command defaults, an optional key=value config file, and
-explicit flags (in that order), then writes frames, the per-step record
+explicit flags (in that order); config lines are read as the subcommand's
+own flags by the same parser.  A run then writes frames, the per-step record
 (diagnostics.csv) and a manifest echoing the resolved values.  Exit codes: 0
 on success, 1 on usage errors, 2 when the solver fails mid-run (the manifest
 records the failing step, diagnostics.csv the steps that returned) or when
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -22,28 +24,6 @@ from .grid import Grid, GridState, l1_error
 from .output import write_diagnostics, write_error_table, write_frame, write_frames, write_manifest
 from .riemann import CongestionLimitError, VacuumError, solve_riemann
 from .scenarios import Scenario, ScenarioError
-
-# scenario fields settable via config/flags, with their parsers
-_FIELD_TYPES = {
-    "scheme": str,
-    "order": int,
-    "epsilon": float,
-    "alpha": float,
-    "gamma": float,
-    "nx": int,
-    "ny": int,
-    "dt_factor": float,
-    "dt": float,
-    "t_end": float,
-    "frames_every": int,
-    "case": int,
-    "profile": str,
-    "rho_star_const": float,
-    "beta": float,
-    "seed": int,
-}
-_OUTPUT_KEYS = {"out": str, "format": str, "refinements": str}
-_ALIASES = {"eps": "epsilon"}
 
 _DEFAULTS = {
     "riemann": dict(nx=1000, t_end=0.1, epsilon=1e-2, scheme="zq", order=2),
@@ -77,19 +57,23 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        # a config key must name its flag in full: `t = 0.1` is not --t-end
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise _UsageError(f"{self.prog}: {message}")
 
 
 def _add_common(p: _Parser, *, law_only: bool = False) -> None:
     p.add_argument("--config", type=Path, help="key=value config file")
-    p.add_argument("--eps", dest="epsilon", type=float)
+    p.add_argument("--eps", "--epsilon", dest="epsilon", type=float)
     p.add_argument("--alpha", type=float)
     p.add_argument("--gamma", type=float)
     p.add_argument("--nx", type=int)
     p.add_argument("--t-end", dest="t_end", type=float)
     p.add_argument("--out", type=Path)
-    p.add_argument("--format", choices=("csv", "vtk"))
+    p.add_argument("--format", choices=("csv", "vtk"), default="csv")
     if law_only:
         return
     p.add_argument("--scheme", choices=("zq", "sl"))
@@ -121,58 +105,44 @@ def _build_parser() -> _Parser:
     _add_common(evac)
     evac.add_argument("--profile", choices=scenarios._PROFILES)
     evac.add_argument("--rho-star-const", dest="rho_star_const", type=float)
+    for name, defaults in _DEFAULTS.items():
+        sub.choices[name].set_defaults(out=Path("out") / name, **defaults)
     return parser
 
 
-def _load_config(path: Path) -> dict:
+def _config_args(path: Path) -> list:
+    """The file's `key = value` lines as flags; the [section] header is optional."""
     cp = configparser.ConfigParser()
     try:
         text = path.read_text()
-    except OSError as exc:
-        raise _UsageError(f"cannot read config {path}: {exc}") from exc
-    try:
-        cp.read_string(text)
-    except configparser.MissingSectionHeaderError:
-        cp = configparser.ConfigParser()
         try:
+            cp.read_string(text)
+        except configparser.MissingSectionHeaderError:
             cp.read_string("[scenario]\n" + text)
-        except configparser.Error as exc:
-            raise _UsageError(f"bad config {path}: {exc}") from exc
-    except configparser.Error as exc:
+    except (OSError, configparser.Error) as exc:
         raise _UsageError(f"bad config {path}: {exc}") from exc
-    values = {}
+    args = []
     for section in cp.sections():
         for key, raw in cp.items(section):
-            key = _ALIASES.get(key, key)
-            if key in _FIELD_TYPES:
-                conv = _FIELD_TYPES[key]
-            elif key in _OUTPUT_KEYS:
-                conv = _OUTPUT_KEYS[key]
-            else:
-                raise _UsageError(f"unknown config key {key!r} in {path}")
-            try:
-                values[key] = conv(raw)
-            except ValueError as exc:
-                raise _UsageError(f"bad value for {key!r} in {path}: {raw!r}") from exc
-    return values
+            if key == "config":
+                raise _UsageError(f"config {path} names another config file")
+            args.append(f"--{key.replace('_', '-')}={raw}")  # one token: -1e-3 is no flag
+    return args
 
 
-def _resolve(args: argparse.Namespace) -> dict:
-    """Defaults < config file < explicit flags."""
-    values = dict(_DEFAULTS[args.command])
-    if getattr(args, "config", None) is not None:
-        values.update(_load_config(args.config))
-    for key in list(_FIELD_TYPES) + list(_OUTPUT_KEYS):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
-    values.setdefault("out", Path("out") / args.command)
-    values.setdefault("format", "csv")
-    return values
+def _resolve(argv) -> dict:
+    """Defaults < config file < explicit flags: the file's flags go before the given ones."""
+    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(argv)
+    if args.config is not None:
+        args = parser.parse_args(argv[:1] + _config_args(args.config) + argv[1:])
+    return vars(args)
 
 
 def _make_scenario(command: str, values: dict) -> Scenario:
-    fields = {k: v for k, v in values.items() if k in _FIELD_TYPES}
+    names = {f.name for f in dataclasses.fields(Scenario)}
+    fields = {k: v for k, v in values.items() if k in names and v is not None}
     try:
         return Scenario(kind=_KIND_OF[command], **fields)
     except ValueError as exc:
@@ -188,6 +158,7 @@ def _scenario_payload(s: Scenario, values: dict) -> dict:
 
 def _failed(manifest: dict, outdir: Path, exc: ScenarioError) -> int:
     """Record a failed run: its steps, the manifest naming the failing step, exit 2."""
+    outdir.mkdir(parents=True, exist_ok=True)
     if exc.result is not None:
         manifest.update(write_diagnostics(exc.result, outdir / "diagnostics.csv"))
     manifest.update(status="failed", failing_step=exc.step, error=str(exc))
@@ -279,8 +250,8 @@ def _parse_refinements(raw) -> list:
         dxs = [float(tok) for tok in str(raw).split(",") if tok.strip()]
     except ValueError as exc:
         raise _UsageError(f"bad refinement list {raw!r}") from exc
-    if not dxs:
-        raise _UsageError("empty refinement list")
+    if not dxs or not all(0.0 < dx < math.inf for dx in dxs):  # NaN fails too
+        raise _UsageError(f"refinements must be positive finite spacings, got {raw!r}")
     return dxs
 
 
@@ -289,7 +260,6 @@ def _cmd_convergence(values: dict) -> int:
     values = dict(values, nx=round(1 / max(dxs)))
     s = _make_scenario("convergence", values)
     outdir = Path(values["out"])
-    outdir.mkdir(parents=True, exist_ok=True)
     manifest = {"command": "convergence", "scenario": _scenario_payload(s, values)}
     try:
         report = scenarios.run_convergence_study(s, dxs)
@@ -297,6 +267,7 @@ def _cmd_convergence(values: dict) -> int:
         return _failed(manifest, outdir, exc)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
+    outdir.mkdir(parents=True, exist_ok=True)
     write_error_table(report, outdir / "errors.csv")
     manifest.update(
         status="ok",
@@ -313,15 +284,13 @@ def _cmd_convergence(values: dict) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        values = _resolve(args)
-        if args.command == "exact-riemann":
+        values = _resolve(argv)
+        if values["command"] == "exact-riemann":
             return _cmd_exact_riemann(values)
-        if args.command == "convergence":
+        if values["command"] == "convergence":
             return _cmd_convergence(values)
-        return _cmd_run(args.command, values)
+        return _cmd_run(values["command"], values)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

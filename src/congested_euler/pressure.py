@@ -108,12 +108,9 @@ def inverse_slope_floor(law: PressureLaw) -> float:
     return float(singular_pressure(1e-8, law))
 
 
-def total_pressure(Z, law: PressureLaw, include_singular: bool = True):
-    """p(Z) plus, unless disabled, pi_eps(Z)."""
-    p = background_pressure(Z, law)
-    if include_singular:
-        p = p + singular_pressure(Z, law)
-    return p
+def total_pressure(Z, law: PressureLaw):
+    """p(Z) + pi_eps(Z)."""
+    return background_pressure(Z, law) + singular_pressure(Z, law)
 
 
 def total_pressure_deriv(Z, law: PressureLaw, include_singular: bool = True):

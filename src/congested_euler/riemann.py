@@ -92,21 +92,16 @@ def _family_sign(family: int) -> float:
     raise ValueError("nonlinear wave family must be 1 or 3")
 
 
-def hugoniot_velocity(Z, hat: PrimState, law: PressureLaw, family: int,
-                      include_singular: bool = True) -> float:
+def hugoniot_velocity(Z, hat: PrimState, law: PressureLaw, family: int) -> float:
     """Velocity on the family-1/3 jump locus through ``hat``, at congestion Z."""
     if Z == hat.Z:
         return hat.v
-    jump = (
-        total_pressure(Z, law, include_singular)
-        - total_pressure(hat.Z, law, include_singular)
-    )
+    jump = total_pressure(Z, law) - total_pressure(hat.Z, law)
     disc = (Z - hat.Z) * jump / (hat.rho_star * Z * hat.Z)
     return hat.v + _family_sign(family) * np.sign(Z - hat.Z) * np.sqrt(disc)
 
 
-def rarefaction_velocity(Z, hat: PrimState, law: PressureLaw, family: int,
-                         include_singular: bool = True) -> float:
+def rarefaction_velocity(Z, hat: PrimState, law: PressureLaw, family: int) -> float:
     """Velocity on the family-1/3 integral curve through ``hat``, at congestion Z."""
     from scipy.integrate import IntegrationWarning, quad
     rstar = hat.rho_star
@@ -114,7 +109,7 @@ def rarefaction_velocity(Z, hat: PrimState, law: PressureLaw, family: int,
     # dv = sqrt(P'(s) / rho*) / s ds grows like s^((gamma - 3) / 2) at s = 0;
     # in t = sqrt(s) it is t^(gamma - 2), bounded for gamma >= 2.
     def dv_dt(t):
-        return 2.0 * np.sqrt(total_pressure_deriv(t * t, law, include_singular) / rstar) / t
+        return 2.0 * np.sqrt(total_pressure_deriv(t * t, law) / rstar) / t
 
     # Near-machine tolerances trip quad's roundoff warning while its result
     # is still good; keep the estimate but fail loudly if it really is bad.
@@ -127,34 +122,29 @@ def rarefaction_velocity(Z, hat: PrimState, law: PressureLaw, family: int,
     return hat.v + _family_sign(family) * val
 
 
-def wave_curve_velocity(Z, hat: PrimState, law: PressureLaw, family: int,
-                        include_singular: bool = True) -> float:
+def wave_curve_velocity(Z, hat: PrimState, law: PressureLaw, family: int) -> float:
     """Velocity reachable from ``hat`` by one admissible family-1/3 wave.
 
     Compressive side (Z above the base state) follows the jump locus,
     expansive side the integral curve; the two meet tangentially at ``hat``.
     """
     if Z > hat.Z:
-        return hugoniot_velocity(Z, hat, law, family, include_singular)
-    return rarefaction_velocity(Z, hat, law, family, include_singular)
+        return hugoniot_velocity(Z, hat, law, family)
+    return rarefaction_velocity(Z, hat, law, family)
 
 
-def shock_speed(Z, hat: PrimState, law: PressureLaw, family: int,
-                include_singular: bool = True) -> float:
+def shock_speed(Z, hat: PrimState, law: PressureLaw, family: int) -> float:
     """Propagation speed of the family-1/3 jump through ``hat`` at congestion Z."""
     if Z == hat.Z:
-        dP = total_pressure_deriv(hat.Z, law, include_singular)
+        dP = total_pressure_deriv(hat.Z, law)
         return hat.v + _family_sign(family) * np.sqrt(hat.Z * dP / hat.rho)
-    jump = (
-        total_pressure(Z, law, include_singular)
-        - total_pressure(hat.Z, law, include_singular)
-    )
+    jump = total_pressure(Z, law) - total_pressure(hat.Z, law)
     flux = np.sqrt(Z * jump / (hat.rho * (Z - hat.Z)))
     return hat.v + _family_sign(family) * flux
 
 
-def _sound_speed(state: PrimState, law: PressureLaw, include_singular: bool) -> float:
-    dP = total_pressure_deriv(state.Z, law, include_singular)
+def _sound_speed(state: PrimState, law: PressureLaw) -> float:
+    dP = total_pressure_deriv(state.Z, law)
     return float(np.sqrt(dP / state.rho_star))
 
 
@@ -163,7 +153,6 @@ class RiemannFan:
     """Self-similar three-wave solution, sampled by xi = (x - x0) / t."""
 
     law: PressureLaw
-    include_singular: bool
     left: PrimState
     mid_left: PrimState
     mid_right: PrimState
@@ -181,14 +170,14 @@ class RiemannFan:
             hat, z_in, z_out = self.right, self.mid_right.Z, self.right.Z
 
         def speed(Z):
-            v = rarefaction_velocity(Z, hat, self.law, family, self.include_singular)
-            dP = total_pressure_deriv(Z, self.law, self.include_singular)
+            v = rarefaction_velocity(Z, hat, self.law, family)
+            dP = total_pressure_deriv(Z, self.law)
             c = np.sqrt(dP / hat.rho_star)
             return (v - c if family == 1 else v + c) - xi
 
         lo, hi = sorted((z_in, z_out))
         Z = brentq(speed, lo, hi, xtol=1e-15)
-        v = rarefaction_velocity(Z, hat, self.law, family, self.include_singular)
+        v = rarefaction_velocity(Z, hat, self.law, family)
         return PrimState(rho=hat.rho_star * Z, v=v, Z=Z)
 
     def sample(self, xi: float) -> PrimState:
@@ -220,58 +209,46 @@ class RiemannFan:
         return {"rho": rho, "v": v, "q1": rho * v, "Z": Z, "rho_star": rho / Z}
 
 
-def _nonlinear_wave(family: int, hat: PrimState, mid: PrimState,
-                    law: PressureLaw, include_singular: bool) -> Wave:
+def _nonlinear_wave(family: int, hat: PrimState, mid: PrimState, law: PressureLaw) -> Wave:
     lstate, rstate = (hat, mid) if family == 1 else (mid, hat)
     dz = mid.Z - hat.Z
     if abs(dz) <= 1e-14 * max(mid.Z, hat.Z):
-        lam = hat.v + _family_sign(family) * _sound_speed(hat, law, include_singular)
+        lam = hat.v + _family_sign(family) * _sound_speed(hat, law)
         return Wave(family, "rarefaction", lam, lam, lstate, rstate)
     if dz > 0.0:
         sigma = (rstate.q - lstate.q) / (rstate.rho - lstate.rho)
         return Wave(family, "shock", sigma, sigma, lstate, rstate)
-    lam_hat = hat.v + _family_sign(family) * _sound_speed(hat, law, include_singular)
-    lam_mid = mid.v + _family_sign(family) * _sound_speed(mid, law, include_singular)
+    lam_hat = hat.v + _family_sign(family) * _sound_speed(hat, law)
+    lam_mid = mid.v + _family_sign(family) * _sound_speed(mid, law)
     lo, hi = sorted((lam_hat, lam_mid))
     return Wave(family, "rarefaction", lo, hi, lstate, rstate)
 
 
 def solve_riemann(left: PrimState, right: PrimState, law: PressureLaw,
-                  include_singular: bool = True, scan_intervals: int = 64) -> RiemannFan:
+                  scan_intervals: int = 64) -> RiemannFan:
     """Intersect the two wave curves and assemble the fan.
 
     Raises :class:`VacuumError` when the curves only meet below Z_FLOOR and
-    :class:`CongestionLimitError` when they only meet above Z_CEIL (with the
-    singular law on, velocities diverge there, so this means the middle state
-    is numerically indistinguishable from the congested limit).
+    :class:`CongestionLimitError` when they only meet above Z_CEIL (the
+    velocities diverge there, so this means the middle state is numerically
+    indistinguishable from the congested limit).
     """
     from scipy.optimize import brentq
-    if include_singular:
-        for s in (left, right):
-            if not s.Z < Z_CEIL:
-                raise ValueError("input states must satisfy Z < 1")
+    for s in (left, right):
+        if not s.Z < Z_CEIL:
+            raise ValueError("input states must satisfy Z < 1")
 
     def g(Z):
-        return (
-            wave_curve_velocity(Z, left, law, 1, include_singular)
-            - wave_curve_velocity(Z, right, law, 3, include_singular)
-        )
+        return wave_curve_velocity(Z, left, law, 1) - wave_curve_velocity(Z, right, law, 3)
 
     z_lo = Z_FLOOR
     if g(z_lo) < 0.0:
         raise VacuumError("wave curves intersect below the congestion floor")
-    if include_singular:
-        z_hi = Z_CEIL
-        if g(z_hi) > 0.0:
-            raise CongestionLimitError(
-                "middle state within 1e-12 of Z = 1; use limit_congested_solution"
-            )
-    else:
-        z_hi = 2.0 * max(left.Z, right.Z, 1.0)
-        while g(z_hi) > 0.0:
-            z_hi *= 2.0
-            if z_hi > 1e12:
-                raise RuntimeError("no intersection below Z = 1e12")
+    z_hi = Z_CEIL
+    if g(z_hi) > 0.0:
+        raise CongestionLimitError(
+            "middle state within 1e-12 of Z = 1; use limit_congested_solution"
+        )
 
     root_count = 0
     if scan_intervals:
@@ -280,13 +257,13 @@ def solve_riemann(left: PrimState, right: PrimState, law: PressureLaw,
         root_count = int(np.sum(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0))
 
     z_mid = brentq(g, z_lo, z_hi, xtol=_Z_XTOL, maxiter=200)
-    v_left = wave_curve_velocity(z_mid, left, law, 1, include_singular)
-    v_right = wave_curve_velocity(z_mid, right, law, 3, include_singular)
+    v_left = wave_curve_velocity(z_mid, left, law, 1)
+    v_right = wave_curve_velocity(z_mid, right, law, 3)
     residual = abs(v_left - v_right)
     # brentq pins z_mid only to within _Z_XTOL + 4 eps z_mid, and near Z = 1
     # the curves are steep enough that this alone leaves a velocity gap of
     # their slope times that width
-    h = 1e-6 * (min(z_mid, 1.0 - z_mid) if include_singular else z_mid)
+    h = 1e-6 * min(z_mid, 1.0 - z_mid)
     slope = abs(g(z_mid + h) - g(z_mid - h)) / (2.0 * h)
     width = _Z_XTOL + 4.0 * np.finfo(float).eps * z_mid
     if residual > max(_RESIDUAL_TOL, slope * width):
@@ -295,20 +272,19 @@ def solve_riemann(left: PrimState, right: PrimState, law: PressureLaw,
 
     mid_left = PrimState(rho=left.rho_star * z_mid, v=v_mid, Z=z_mid)
     mid_right = PrimState(rho=right.rho_star * z_mid, v=v_mid, Z=z_mid)
-    w1 = _nonlinear_wave(1, left, mid_left, law, include_singular)
-    w3 = _nonlinear_wave(3, right, mid_right, law, include_singular)
+    w1 = _nonlinear_wave(1, left, mid_left, law)
+    w3 = _nonlinear_wave(3, right, mid_right, law)
     contact = Wave(2, "contact", v_mid, v_mid, mid_left, mid_right)
 
     return RiemannFan(
         law=law,
-        include_singular=include_singular,
         left=left,
         mid_left=mid_left,
         mid_right=mid_right,
         right=right,
         waves=(w1, contact, w3),
         pressures=tuple(
-            float(total_pressure(Z, law, include_singular)) for Z in (left.Z, z_mid, right.Z)
+            float(total_pressure(Z, law)) for Z in (left.Z, z_mid, right.Z)
         ),
         residual=residual,
         root_count=max(root_count, 1),
@@ -323,21 +299,12 @@ def limit_congested_solution(left: PrimState, right: PrimState,
     incoming congestion densities and carries the residual total pressure
     p_bar > max of the adjacent background pressures.  Raises
     :class:`NotCongestedError` when the background-law fan alone resolves the
-    data (its middle state stays below Z = 1).
+    data (its middle state stays below Z = 1), vacuum data included.
     """
     from scipy.optimize import brentq
     for s in (left, right):
         if not s.Z < 1.0:
             raise ValueError("input states must satisfy Z < 1")
-
-    # Precheck with the background law, where Z may exceed 1 freely.
-    free_fan = solve_riemann(left, right, law, include_singular=False,
-                             scan_intervals=0)
-    if free_fan.mid_left.Z < 1.0:
-        raise NotCongestedError(
-            "background-law middle state has Z = "
-            f"{free_fan.mid_left.Z:.6f} < 1; the limit fan is the plain one"
-        )
 
     p0_l = float(background_pressure(left.Z, law))
     p0_r = float(background_pressure(right.Z, law))
@@ -347,9 +314,14 @@ def limit_congested_solution(left: PrimState, right: PrimState,
         v_from_right = right.v + np.sqrt((1.0 - right.Z) * (p_bar - p0_r) / right.rho)
         return v_from_left - v_from_right
 
+    # At p_bar = p(1), gap is the mismatch of the background-law shock curves
+    # at Z = 1; gap decreases in p_bar, so the background middle state reaches
+    # Z = 1 exactly when it is positive there.
+    if gap(float(background_pressure(1.0, law))) <= 0.0:
+        raise NotCongestedError(
+            "the background-law middle state stays below Z = 1; the limit fan is the plain one"
+        )
     p_lo = max(p0_l, p0_r)
-    if gap(p_lo) <= 0.0:
-        raise NotCongestedError("collision too weak to support a congested plateau")
     p_hi = p_lo + 1.0
     while gap(p_hi) > 0.0:
         p_hi = p_lo + 2.0 * (p_hi - p_lo)
@@ -372,7 +344,6 @@ def limit_congested_solution(left: PrimState, right: PrimState,
     )
     return RiemannFan(
         law=law,
-        include_singular=False,
         left=left,
         mid_left=mid_left,
         mid_right=mid_right,

@@ -102,27 +102,29 @@ def test_riemann_run_writes_frames_and_manifest(tmp_path):
 
 
 def test_config_file_with_flag_override(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("[scenario]\nnx = 30\neps = 0.05\norder = 1\n")
-    out = tmp_path / "run"
-    rc = cli.main(
-        [
-            "riemann",
-            "--config",
-            str(cfg),
-            "--nx",
-            "20",
-            "--t-end",
-            "0.005",
-            "--out",
-            str(out),
-        ]
-    )
-    assert rc == 0
-    scn = read_manifest(out)["scenario"]
-    assert scn["nx"] == 20  # flag beats config
-    assert scn["epsilon"] == 0.05  # config beats default
-    assert scn["order"] == 1
+    for eps_key, t_key in [("eps", "t_end"), ("epsilon", "t-end")]:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[scenario]\nnx = 30\n{eps_key} = 0.05\norder = 1\n{t_key} = 0.5\n")
+        out = tmp_path / eps_key
+        rc = cli.main(
+            [
+                "riemann",
+                "--config",
+                str(cfg),
+                "--nx",
+                "20",
+                "--t-end",
+                "0.005",
+                "--out",
+                str(out),
+            ]
+        )
+        assert rc == 0
+        scn = read_manifest(out)["scenario"]
+        assert scn["nx"] == 20  # flag beats config
+        assert scn["t_end"] == 0.005
+        assert scn["epsilon"] == 0.05  # config beats default
+        assert scn["order"] == 1
 
 
 def test_unknown_config_key_is_usage_error(tmp_path, capsys):
@@ -130,6 +132,35 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     cfg.write_text("warp = 5\n")
     assert cli.main(["riemann", "--config", str(cfg)]) == 1
     assert "warp" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, line, named",
+    [
+        ("riemann", "format = png", "png"),  # a value the flag's choices reject
+        ("riemann", "case = 2", "--case"),  # a key only collide2d takes
+        ("exact-riemann", "scheme = zq", "--scheme"),
+        ("riemann", "t = 0.1", "--t="),  # keys name flags in full, not by prefix
+        ("riemann", "config = other.ini", "config"),
+    ],
+    ids=["format png", "riemann case", "exact-riemann scheme", "t prefix", "config in config"],
+)
+def test_bad_config_is_usage_error_and_creates_nothing(tmp_path, capsys, command, line, named):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "run"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and named in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("refinements", ["0,0.1,0.05", "nan,0.1,0.05", "0.1,0.05", "0.1,0.05,0.03"])
+def test_bad_refinements_are_usage_errors_and_create_nothing(tmp_path, capsys, refinements):
+    out = tmp_path / "conv"
+    assert cli.main(["convergence", "--refinements", refinements, "--out", str(out)]) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_numerical_failure_exit_code_and_manifest(tmp_path, monkeypatch):

@@ -141,6 +141,9 @@ def test_limit_fan_rejects_weak_collision():
     weak_r = PrimState(rho=0.3, v=-0.1, Z=0.3)
     with pytest.raises(NotCongestedError):
         limit_congested_solution(weak_l, weak_r, LAW4)
+    # data that part into vacuum never reach Z = 1 either
+    with pytest.raises(NotCongestedError):
+        limit_congested_solution(PrimState(0.7, -3.0, 0.7 / 1.2), PrimState(0.7, 3.0, 0.7), LAW4)
 
 
 def test_vacuum_detection():
