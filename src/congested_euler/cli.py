@@ -28,8 +28,8 @@ from .scenarios import Scenario, ScenarioError
 _DEFAULTS = {
     "riemann": dict(nx=1000, t_end=0.1, epsilon=1e-2, scheme="zq", order=2),
     "exact-riemann": dict(nx=1000, t_end=0.1, epsilon=1e-2, alpha=2.0, gamma=2.0),
+    # convergence takes its resolutions from the refinements, never from nx
     "convergence": dict(
-        nx=250,
         t_end=0.05,
         epsilon=1e-2,
         scheme="zq",
@@ -256,6 +256,8 @@ def _parse_refinements(raw) -> list:
 
 
 def _cmd_convergence(values: dict) -> int:
+    if values["nx"] is not None:
+        raise _UsageError("convergence sets nx from --refinements; do not give nx")
     dxs = _parse_refinements(values["refinements"])
     values = dict(values, nx=round(1 / max(dxs)))
     s = _make_scenario("convergence", values)

@@ -89,14 +89,12 @@ class DiffusionOperator:
     ``terms`` holds (offset, weight) pairs with field-shaped nonnegative
     weights; offsets have one entry per array axis, (di,) in 1D (a bare int
     also works) and (dj, di) in 2D.  Ghost neighbors alias interior cells
-    through the grid's ghost map; neighbors beyond a fixed-state side read
-    the per-side values in ``g_boundary``.
+    through the grid's ghost map, so the operator is linear: A g.
     """
 
     grid: Grid
     width: int
     terms: list
-    g_boundary: np.ndarray | None = None
 
     def __post_init__(self):
         offsets = tuple(off for off, _ in self.terms)
@@ -106,7 +104,7 @@ class DiffusionOperator:
 
     def apply(self, g):
         """Reference evaluation through ghost padding."""
-        gp = pad_field(self.grid, g, self.width, "scalar", self.g_boundary)
+        gp = pad_field(self.grid, g, self.width)
         g = np.asarray(g, dtype=float).reshape(self.grid.shape)
         out = np.zeros(self.grid.shape)
         for off, w in self.terms:
@@ -114,16 +112,12 @@ class DiffusionOperator:
         return out
 
     def matrix(self):
-        """(A, b) with apply(g).ravel() == A @ g.ravel() + b."""
+        """A with apply(g).ravel() == A @ g.ravel()."""
         if self._built is None:
             p, n = self.pattern, self.grid.size
             w = np.stack([np.asarray(wk, dtype=float).ravel() for _, wk in self.terms])
-            data = np.bincount(p.scatter, np.stack([w, -w], axis=1).ravel(),
-                               p.indices.size + 1)
-            A = sp.csr_matrix((data[:-1], p.indices, p.indptr), shape=(n, n))
-            # b = apply(0), which only neighbours beyond fixed-state sides reach
-            b = self.apply(np.zeros(n)).ravel() if self.grid.has_dirichlet else np.zeros(n)
-            self._built = (A, b)
+            data = np.bincount(p.scatter, np.stack([w, -w], axis=1).ravel(), p.indices.size)
+            self._built = sp.csr_matrix((data, p.indices, p.indptr), shape=(n, n))
         return self._built
 
     def _negated(self):
@@ -131,7 +125,7 @@ class DiffusionOperator:
         diagonal and -A in CSR, whose diagonal each stage overwrites; in 1D the
         diagonal and the ``up`` couplings in chain order (A is symmetric)."""
         if self._neg is None:
-            A, _ = self.matrix()
+            A = self.matrix()
             p = self.pattern
             if self.grid.ndim == 2:
                 S = -A
@@ -155,8 +149,7 @@ class EllipticProblem:
     fprime: Callable
 
     def residual(self, u):
-        A, b = self.op.matrix()
-        return self.f(u) - (A @ u + b) - np.asarray(self.rhs, float).ravel()
+        return self.f(u) - self.op.matrix() @ u - np.asarray(self.rhs, float).ravel()
 
 
 def _solve_cyclic_tridiagonal(d, up, b, first, last):
@@ -170,20 +163,21 @@ def _solve_cyclic_tridiagonal(d, up, b, first, last):
     diagonal entry and adding c^2/d_first to its last (c the cut coupling)
     leaves a positive-definite tridiagonal matrix; one LDL^T solve (LAPACK
     ptsv) with a second right-hand side gives each cycle the rank-one
-    correction that closes it.  Without cycles that solve is all.
+    correction that closes it.  Without cycles that solve is all.  The few
+    cycles are closed one by one on scalars, which costs less than array
+    operations over them.
     """
-    cyclic = first.size > 0
+    # (first, last, cut coupling c, sigma) of each cycle
+    cycles = [(i, k, up[k], -d[i]) for i, k in zip(first.tolist(), last.tolist())]
     # Fortran order, so that ptsv works in place on both right-hand sides
-    rhs = np.zeros((d.size, 1 + cyclic), order="F")
+    rhs = np.zeros((d.size, 1 + bool(cycles)), order="F")
     rhs[:, 0] = b
     dt, e = d.copy(), up.copy()
-    e[last] = 0.0
-    if cyclic:
-        c, sigma = up[last], -d[first]
-        dt[first] -= sigma
-        dt[last] -= c * c / sigma
-        rhs[first, 1] = sigma
-        rhs[last, 1] = c
+    for i, k, c, sigma in cycles:
+        e[k] = 0.0
+        dt[i] -= sigma
+        dt[k] -= c * c / sigma
+        rhs[i, 1], rhs[k, 1] = sigma, c
     # ptsv's wrapper wants one off-diagonal entry even for a single position
     *_, sol, info = dptsv(
         dt, e[:max(d.size - 1, 1)], rhs, overwrite_d=1, overwrite_e=1, overwrite_b=1
@@ -192,12 +186,9 @@ def _solve_cyclic_tridiagonal(d, up, b, first, last):
         msg = f"tridiagonal system not positive definite at chain position {info - 1}"
         raise LinearSolveError(msg, info, d)
     y = sol[:, 0]
-    if cyclic:
-        z, frac = sol[:, 1], c / sigma
-        scale = (y[first] + frac * y[last]) / (1.0 + z[first] + frac * z[last])
-        for s, i, k in zip(scale, first, last + 1):
-            z[i:k] *= s
-            y[i:k] -= z[i:k]
+    for i, k, c, sigma in cycles:
+        z, frac = sol[i:k + 1, 1], c / sigma
+        y[i:k + 1] -= (y[i] + frac * y[k]) / (1.0 + z[0] + frac * z[-1]) * z
     return y
 
 

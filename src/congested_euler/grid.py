@@ -11,9 +11,9 @@ in 1D) list y first, while per-direction sequences (``grid.spacing``,
 once as a loop over the axes.
 
 Boundaries are handled through ghost maps: for a padding width ``w``, every
-ghost cell either aliases an interior cell (periodic wrap, or mirror for
-reflecting and zero-gradient sides) together with a sign for each momentum
-component, or holds a fixed exterior value.  Ghost indices resolve x first,
+ghost cell aliases an interior cell (periodic wrap, or mirror for reflecting
+and zero-gradient sides) together with a sign for each momentum component.
+A mirrored side needs at least ``w`` cells.  Ghost indices resolve x first,
 so at a corner a window on an x side tests the virtual y coordinate of the
 ghost, and a window on a y side the aliased x coordinate.  Explicit stencils,
 the implicit pressure systems, and characteristic-foot interpolation all read
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,23 +42,11 @@ class Wall:
 
 
 @dataclass(frozen=True)
-class Dirichlet:
-    """Exterior state held fixed for all time."""
-
-    rho: float
-    q1: float
-    Z: float
-    q2: float = 0.0
-
-    def value(self, name: str) -> float:
-        if name == "rho_star":
-            return self.rho / self.Z
-        return getattr(self, name)
-
-
-@dataclass(frozen=True)
 class OutflowWindow:
-    """Zero-gradient where the tangential coordinate lies in [lo, hi], wall outside."""
+    """Zero-gradient where the tangential coordinate lies in [lo, hi], wall outside.
+
+    A 1D side has no tangential coordinate and is zero-gradient throughout.
+    """
 
     lo: float
     hi: float
@@ -68,18 +55,14 @@ class OutflowWindow:
 def _alias(v, n, bcs, t=None):
     """Alias the virtual indices ``v`` (possibly outside [0, n)) along one axis.
 
-    Returns (index, normal_sign, fixed_side) arrays; fixed_side is 0 or 1 for
-    indices beyond a low or high fixed-state side, where index is
-    meaningless, and -1 elsewhere.  ``t`` is the tangential coordinate that
-    window tests read; None on an axis with no tangential direction.
+    Returns (index, normal_sign) arrays.  ``t`` is the tangential coordinate
+    that window tests read; None on an axis with no tangential direction.
     """
-    idx, sign, side = v.copy(), np.ones(v.shape), np.full(v.shape, -1)
+    idx, sign = v.copy(), np.ones(v.shape)
     for s, bc in enumerate(bcs):
         out = v < 0 if s == 0 else v >= n
         if isinstance(bc, Periodic):
             idx[out] = v[out] % n
-        elif isinstance(bc, Dirichlet):
-            side[out] = s
         else:
             mirror = -v[out] - 1 if s == 0 else 2 * n - 1 - v[out]
             if np.any((mirror < 0) | (mirror >= n)):
@@ -91,40 +74,35 @@ def _alias(v, n, bcs, t=None):
                 raise TypeError(f"unknown boundary condition {bc!r}")
             elif t is not None:
                 sign[out] = np.where((bc.lo <= t[out]) & (t[out] <= bc.hi), 1.0, -1.0)
-    return idx, sign, side
+    return idx, sign
 
 
 @dataclass(frozen=True)
 class GhostMap:
     """Padded-index resolution for one (grid, width) pair.
 
-    ``src`` holds, per padded cell, the flat interior index it aliases, or
-    ``-1 - side`` for cells carrying a fixed exterior value.  The sign arrays
-    apply to the x and y momentum components respectively.  ``gather`` is
-    ``src`` clipped at 0, the index that padding reads, ``fixed`` the mask
-    of the fixed-value cells and ``fixed_side`` their sides in mask order.
+    ``src`` holds, per padded cell, the flat interior index it aliases,
+    which is what padding reads.  The sign arrays apply to the x and y
+    momentum components respectively.
     """
 
     width: int
     src: np.ndarray
     sign_q1: np.ndarray
     sign_q2: np.ndarray
-    gather: np.ndarray
-    fixed: np.ndarray
-    fixed_side: np.ndarray
 
 
 @dataclass(frozen=True)
 class StencilPattern:
     """CSR structure of sum_k w_k (g_{c+o_k} - g_c) for one stencil on one grid.
 
-    The data are ``np.bincount(scatter, weights)`` minus its last (spare)
-    slot, for the weights laid out term by term as (w_k, -w_k); ``diag``
-    holds the diagonal slots.  In 1D every cell has at most two neighbours:
-    ``order`` lists the cells path by path, then cycle by cycle, ``up`` holds
-    the slots coupling each position to the next one of its chain (the spare
-    slot at path ends, the chain's first position at a cycle's end), and
-    cycle j runs over positions first[j]..last[j].
+    The data are ``np.bincount(scatter, weights)`` for the weights laid out
+    term by term as (w_k, -w_k); ``diag`` holds the diagonal slots.  In 1D
+    every cell has at most two neighbours: ``order`` lists the cells path by
+    path, then cycle by cycle, ``up`` holds the slots coupling each position
+    to the next one of its chain (one past the last slot at path ends, the
+    chain's first position at a cycle's end), and cycle j runs over
+    positions first[j]..last[j].
     """
 
     indptr: np.ndarray
@@ -145,7 +123,6 @@ class Grid:
     bc_y: tuple | None = None
     _ghost_maps: dict = field(default_factory=dict, repr=False, compare=False)
     _patterns: dict = field(default_factory=dict, repr=False, compare=False)
-    _dirichlet: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.nx < 1:
@@ -211,10 +188,6 @@ class Grid:
         """Sides in the order LEFT, RIGHT, BOTTOM, TOP."""
         return tuple(bc for pair in self.bcs for bc in pair)
 
-    @cached_property
-    def has_dirichlet(self) -> bool:
-        return any(isinstance(bc, Dirichlet) for bc in self.boundaries)
-
     def ghost_map(self, width: int) -> GhostMap:
         gm = self._ghost_maps.get(width)
         if gm is None:
@@ -228,20 +201,13 @@ class Grid:
         return self._patterns[width, offsets]
 
     def _build_ghost_map(self, w: int) -> GhostMap:
-        # virtual indices of every padded cell, x first; a cell beyond side s
-        # of direction k holds the fixed value of side 2k + s (LEFT, RIGHT,
-        # BOTTOM, TOP), and the first fixed-state side met wins
+        # virtual indices of every padded cell, x first
         v = [u - w for u in np.indices([n + 2 * w for n in self.shape])[::-1]]
-        fixed = np.full(v[0].shape, -1)
         signs = [np.ones(v[0].shape), np.ones(v[0].shape)]
         for k, (n, bcs) in enumerate(zip(self.shape[::-1], self.bcs)):
             t = [(u + 0.5) * h for m, (u, h) in enumerate(zip(v, self.spacing)) if m != k]
-            v[k], signs[k], side = _alias(v[k], n, bcs, *t)
-            newly = (fixed < 0) & (side >= 0)
-            fixed[newly] = 2 * k + side[newly]
-        flat = np.ravel_multi_index(tuple(v[::-1]), self.shape, mode="clip")
-        src = np.where(fixed < 0, flat, -1 - fixed)
-        return GhostMap(w, src, *signs, np.maximum(src, 0), fixed >= 0, fixed[fixed >= 0])
+            v[k], signs[k] = _alias(v[k], n, bcs, *t)
+        return GhostMap(w, np.ravel_multi_index(tuple(v[::-1]), self.shape), *signs)
 
 
 def _shifted(grid: Grid, padded, width: int, offset):
@@ -259,16 +225,13 @@ def _build_pattern(grid: Grid, width: int, offsets: tuple) -> StencilPattern:
     n = grid.size
     src = grid.ghost_map(width).src
     nb = np.stack([np.ravel(_shifted(grid, src, width, off)) for off in offsets])
-    inside = nb >= 0
     cells = np.arange(n)
-    # entry (r, c) has key r * n + c, so sorted keys are CSR order; neighbours
-    # beyond a fixed-state side go to the spare slot
+    # entry (r, c) has key r * n + c, so sorted keys are CSR order
     keys, slot = np.unique(
-        np.concatenate([cells * (n + 1), (cells * n + nb)[inside]]), return_inverse=True
+        np.concatenate([cells * (n + 1), (cells * n + nb).ravel()]), return_inverse=True
     )
     diag = slot[:n]
-    slots = np.full(nb.shape, keys.size)
-    slots[inside] = slot[n:]
+    slots = slot[n:].reshape(nb.shape)
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
     scatter = np.stack([slots, np.broadcast_to(diag, nb.shape)], axis=1).ravel()
@@ -305,47 +268,25 @@ def _chains(keys, n: int) -> dict:
     return dict(order=order, up=up, first=first, last=last)
 
 
-def pad_field(grid: Grid, values, width: int, kind: str = "scalar", dirichlet=None):
+def pad_field(grid: Grid, values, width: int, kind: str = "scalar"):
     """Extend a field by ``width`` ghost layers according to the grid's sides.
 
     ``kind`` selects the reflection sign ("q1", "q2", or "scalar").
-    ``dirichlet`` supplies per-side exterior values (indexable by side
-    constant) and is required when any side holds a fixed state.
     """
     gm = grid.ghost_map(width)
-    out = np.asarray(values, dtype=float).ravel().take(gm.gather)
+    out = np.asarray(values, dtype=float).ravel().take(gm.src)
     if kind == "q1":
         out = out * gm.sign_q1
     elif kind == "q2":
         out = out * gm.sign_q2
     elif kind != "scalar":
         raise ValueError(f"unknown field kind {kind!r}")
-    if gm.fixed_side.size:
-        if dirichlet is None:
-            raise ValueError("fixed-state side present but no exterior values given")
-        out[gm.fixed] = np.asarray(dirichlet, dtype=float)[gm.fixed_side]
     return out
 
 
 def interior(grid: Grid, padded, width: int):
     """View of the interior cells of a padded field."""
     return padded[(slice(width, -width),) * grid.ndim]
-
-
-def dirichlet_values(grid: Grid, name: str) -> np.ndarray:
-    """Per-side exterior values of a named state field (nan on other sides).
-
-    Built once per grid and field; the array is read-only.
-    """
-    vals = grid._dirichlet.get(name)
-    if vals is None:
-        vals = np.full(4, np.nan)
-        for side, bc in enumerate(grid.boundaries):
-            if isinstance(bc, Dirichlet):
-                vals[side] = bc.value(name)
-        vals.flags.writeable = False
-        grid._dirichlet[name] = vals
-    return vals
 
 
 _FIELD_KIND = {"rho": "scalar", "q1": "q1", "q2": "q2", "Z": "scalar", "rho_star": "scalar"}
@@ -389,8 +330,7 @@ class GridState:
         return tuple(q / self.rho for q in (self.q1, self.q2) if q is not None)
 
     def padded(self, grid: Grid, name: str, width: int):
-        dvals = dirichlet_values(grid, name) if grid.has_dirichlet else None
-        return pad_field(grid, getattr(self, name), width, _FIELD_KIND[name], dvals)
+        return pad_field(grid, getattr(self, name), width, _FIELD_KIND[name])
 
 
 def total_mass(grid: Grid, values) -> float:

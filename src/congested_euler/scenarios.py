@@ -16,7 +16,6 @@ import numpy as np
 from . import scheme_conservative, scheme_semilag
 from .elliptic import LinearSolveError, NewtonError
 from .grid import (
-    Dirichlet,
     Grid,
     GridState,
     OutflowWindow,
@@ -31,6 +30,9 @@ from .scheme_conservative import RelaxationConfig
 _KINDS = ("riemann1d", "smooth1d", "collide2d", "evacuate2d")
 _PROFILES = ("constant", "linear", "step", "random")
 _2D_KINDS = ("collide2d", "evacuate2d")
+# kinds with mirrored (reflecting or zero-gradient) sides, whose ghost layers
+# of width 2 need at least 2 cells a side
+_MIRRORED_KINDS = ("riemann1d", "evacuate2d")
 
 # colliding-shocks data: (rho, q, rho_star) on each side of x = 0.5
 RIEMANN_LEFT = (0.7, 0.8, 1.2)
@@ -104,13 +106,13 @@ class Scenario:
                 raise ValueError("ny must be positive")
         elif self.ny is not None:
             raise ValueError(f"{self.kind} is one-dimensional; ny is not allowed")
+        if self.kind in _MIRRORED_KINDS and min(self.nx, self.ny or self.nx) < 2:
+            raise ValueError(f"the sides of {self.kind} need at least 2 cells a side")
         if self.kind == "evacuate2d":
             if self.beta is None:
                 object.__setattr__(self, "beta", EVACUATION_BETA)
             if not (0 < self.beta < math.inf):
                 raise ValueError("beta must be positive and finite")
-            if min(self.nx, self.ny) < 2:
-                raise ValueError("the room's walls need nx and ny of at least 2")
             if self.profile == "constant" and self.rho_star_const <= EVACUATION_RHO:
                 raise ValueError(
                     f"rho_star_const must exceed the initial density {EVACUATION_RHO}"
@@ -129,11 +131,8 @@ def riemann_states() -> tuple[PrimState, PrimState]:
 
 def build_grid(s: Scenario) -> Grid:
     if s.kind == "riemann1d":
-        (rl, ql, sl), (rr, qr, sr) = RIEMANN_LEFT, RIEMANN_RIGHT
-        return Grid(
-            nx=s.nx,
-            bc_x=(Dirichlet(rl, ql, rl / sl), Dirichlet(rr, qr, rr / sr)),
-        )
+        # zero-gradient sides: exact until the first wave reaches one
+        return Grid(nx=s.nx, bc_x=(OutflowWindow(0.0, 1.0),) * 2)
     if s.kind == "smooth1d":
         return Grid(nx=s.nx)
     if s.kind == "collide2d":

@@ -45,7 +45,6 @@ from congested_euler.fluxes import (
 from congested_euler.grid import (
     Grid,
     GridState,
-    dirichlet_values,
     pad_field,
 )
 from congested_euler.pressure import (
@@ -174,10 +173,7 @@ def _stage(grid, state_init, state_flux, dt, w, p_old, law, *, order, cap=None):
     r_p = {}
     for name in mt:
         r = (1.0 - w) * getattr(state_init, name) + w * mt[name]
-        dvals = dirichlet_values(grid, name) if grid.has_dirichlet else None
-        r_p[name] = pad_field(grid, r, W, name, dvals)
-
-    pi_b = singular_pressure(dirichlet_values(grid, "Z"), law) if grid.has_dirichlet else None
+        r_p[name] = pad_field(grid, r, W, name)
 
     def condense(m):
         a_p = mass_p[m] / mass_p["rho"]
@@ -193,7 +189,7 @@ def _stage(grid, state_init, state_flux, dt, w, p_old, law, *, order, cap=None):
             s = w * dt * dt / (4.0 * h * h)
             terms.append((_offset(grid, axis, 2), s * _shifted(grid, a_p, W, east)))
             terms.append((_offset(grid, axis, -2), s * _shifted(grid, a_p, W, west)))
-        return DiffusionOperator(grid, W, terms, g_boundary=pi_b), phi
+        return DiffusionOperator(grid, W, terms), phi
 
     # Evaluating the condensed form once more makes each mass update
     # telescope exactly, so total mass is conserved to rounding regardless
@@ -223,7 +219,7 @@ def _stage(grid, state_init, state_flux, dt, w, p_old, law, *, order, cap=None):
     Pi, report = solve_newton(problem, u0, lower=p_old, iterate_hook=hook)
     new = {masses[0]: phi + op.apply(Pi)}
 
-    Pi_p = pad_field(grid, Pi, W, "scalar", pi_b)
+    Pi_p = pad_field(grid, Pi, W)
     q_new = {}
     for axis, h, qn in _axes(grid):
         grad = (

@@ -32,7 +32,6 @@ from congested_euler.grid import (
     Grid,
     Periodic,
     _shifted,
-    dirichlet_values,
     pad_field,
 )
 from congested_euler.scheme_conservative import _advance, _axes, _offset
@@ -65,8 +64,7 @@ def _foot_base(u, n: int, bc_pair):
 
 def _upwind_slope(grid: Grid, v, kind: str, axis: int, h: float):
     """One-sided difference of a velocity component against its own sign."""
-    vb = dirichlet_values(grid, kind) / dirichlet_values(grid, "rho")
-    vp = pad_field(grid, v, 1, kind, vb)
+    vp = pad_field(grid, v, 1, kind)
     ctr, west, east = (_shifted(grid, vp, 1, _offset(grid, axis, k)) for k in (0, -1, 1))
     return np.where(v > 0.0, (ctr - west) / h, (east - ctr) / h)
 
@@ -93,8 +91,7 @@ def semilag_advect(rho_star, velocity, dt: float, grid: Grid, order: int):
     """
     if order not in (1, 2):
         raise ValueError(f"backtracking order must be 1 or 2, got {order}")
-    dvals = dirichlet_values(grid, "rho_star") if grid.has_dirichlet else None
-    pad = pad_field(grid, rho_star, 2, "scalar", dvals)
+    pad = pad_field(grid, rho_star, 2)
     if not isinstance(velocity, (tuple, list)):
         velocity = (velocity,)
     feet = []

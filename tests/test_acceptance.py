@@ -71,6 +71,13 @@ def test_criterion_1_shock_tube_error_table(riemann_runs):
             ratio = err / target
             ok = ok and 0.5 <= ratio <= 2.0
             details.append(f"eps={eps:g} {name}={err:.2e} ({ratio:.2f}x)")
+    # the zero-gradient sides are exact only while no wave has reached them
+    ends = [0, 1, -2, -1]
+    for eps, run in riemann_runs.items():
+        start, end = run.frames[0][1], run.final
+        for name in ("rho", "q1", "Z", "rho_star"):
+            moved = np.max(np.abs(getattr(end, name)[ends] - getattr(start, name)[ends]))
+            assert moved <= 1e-12, f"eps={eps:g}: {name} at the tube ends moved by {moved:.2e}"
     _report(1, "shock-tube L1 errors within 2x of the pinned table", ok, " ".join(details))
 
 

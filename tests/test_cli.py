@@ -69,10 +69,12 @@ def test_exact_riemann_without_a_resolvable_fan_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("order", ["1", "2"])
-def test_one_cell_riemann_tube_runs(tmp_path, order):
+def test_one_cell_riemann_tube_runs(tmp_path, capsys, order):
+    # the tube's zero-gradient ghosts mirror 2 cells: one cell is a usage error
     out = tmp_path / "run"
-    assert cli.main(["riemann", "--nx", "1", "--order", order, "--out", str(out)]) == 0
-    assert read_manifest(out)["status"] == "ok"
+    assert cli.main(["riemann", "--nx", "1", "--order", order, "--out", str(out)]) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("ceiling", ["0.6", "0"])
@@ -159,6 +161,23 @@ def test_bad_config_is_usage_error_and_creates_nothing(tmp_path, capsys, command
 def test_bad_refinements_are_usage_errors_and_create_nothing(tmp_path, capsys, refinements):
     out = tmp_path / "conv"
     assert cli.main(["convergence", "--refinements", refinements, "--out", str(out)]) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_convergence_nx_is_usage_error_and_creates_nothing(tmp_path, capsys, source):
+    # convergence takes its resolutions from the refinements alone
+    out = tmp_path / "conv"
+    args = ["convergence", "--refinements", "0.0625,0.03125,0.015625", "--t-end", "0.005",
+            "--out", str(out)]
+    if source == "flag":
+        args += ["--nx", "7"]
+    else:
+        cfg = tmp_path / "conv.ini"
+        cfg.write_text("nx = 7\n")
+        args += ["--config", str(cfg)]
+    assert cli.main(args) == 1
     assert "usage error" in capsys.readouterr().err
     assert not out.exists()
 

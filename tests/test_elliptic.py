@@ -15,7 +15,6 @@ from congested_euler.elliptic import (
     solve_newton,
 )
 from congested_euler.grid import (
-    Dirichlet,
     Grid,
     OutflowWindow,
     Periodic,
@@ -35,9 +34,9 @@ LAW = PressureLaw(epsilon=1e-2, alpha=2.0, gamma=2.0)
 RNG = np.random.default_rng(42)
 
 
-def stride2_terms(grid, a, scale, a_boundary=None):
+def stride2_terms(grid, a, scale):
     """Face-coefficient stride-2 couplings, the pressure-form operator shape."""
-    ap = pad_field(grid, a, 1, "scalar", a_boundary)
+    ap = pad_field(grid, a, 1)
     if grid.ndim == 1:
         return [(+2, scale * ap[2:]), (-2, scale * ap[:-2])]
     return [
@@ -67,15 +66,15 @@ GRID_CASES = [
     Grid(nx=12),  # periodic, even cell count: two stride-2 chains
     Grid(nx=13),  # periodic, odd: one chain visiting every cell
     Grid(nx=10, bc_x=(Wall(), Wall())),
-    Grid(nx=10, bc_x=(Dirichlet(rho=0.7, q1=0.8, Z=0.5), Wall())),
+    Grid(nx=10, bc_x=(OutflowWindow(0.0, 1.0), Wall())),
     Grid(nx=8, ny=6),
     Grid(nx=8, ny=6, bc_x=(Wall(), Wall()), bc_y=(OutflowWindow(0.3, 0.7), Wall())),
-    Grid(nx=8, ny=6, bc_x=(Dirichlet(rho=1.0, q1=0.0, Z=0.5),) * 2),
+    Grid(nx=8, ny=6, bc_x=(OutflowWindow(0.0, 1.0),) * 2),
     Grid(nx=4),  # periodic: two stride-2 pairs, each a two-cell path
     Grid(nx=6),  # periodic: two three-cell cycles
     Grid(nx=7),  # periodic: one cycle
     Grid(nx=9, bc_x=(Wall(), Wall())),  # odd: still one ring
-    Grid(nx=9, bc_x=(Dirichlet(rho=0.7, q1=0.8, Z=0.5), Dirichlet(rho=0.9, q1=0.0, Z=0.6))),
+    Grid(nx=9, bc_x=(OutflowWindow(0.0, 1.0),) * 2),  # zero-gradient: one ring
 ]
 
 # (path lengths, cycle lengths) of the stride-2 chains of each 1D case
@@ -83,12 +82,12 @@ CHAIN_SHAPES = {
     0: ([], [6, 6]),
     1: ([], [13]),
     2: ([], [10]),  # ring 0-2-4-6-8-9-7-5-3-1
-    3: ([10], []),
+    3: ([], [10]),  # mirrored ends join the two sublattices, as for walls
     7: ([2, 2], []),
     8: ([], [3, 3]),
     9: ([], [7]),
     10: ([], [9]),
-    11: ([5, 4], []),
+    11: ([], [9]),
 }
 
 LAPLACIAN_GRIDS = (Grid(nx=11), Grid(nx=9, bc_x=(Wall(), Wall())), Grid(nx=6, ny=5))
@@ -96,21 +95,17 @@ LAPLACIAN_GRIDS = (Grid(nx=11), Grid(nx=9, bc_x=(Wall(), Wall())), Grid(nx=6, ny
 
 def make_operator(grid, scale=0.3):
     a = 0.5 + RNG.random(grid.shape)
-    a_boundary = np.full(4, 0.8) if grid.has_dirichlet else None
-    g_boundary = np.full(4, 0.6) if grid.has_dirichlet else None
-    return DiffusionOperator(
-        grid, 2, stride2_terms(grid, a, scale, a_boundary), g_boundary
-    )
+    return DiffusionOperator(grid, 2, stride2_terms(grid, a, scale))
 
 
 @pytest.mark.parametrize("grid", GRID_CASES)
 def test_matrix_agrees_with_padded_apply(grid):
     op = make_operator(grid)
-    A, b = op.matrix()
+    A = op.matrix()
     for _ in range(3):
         g = RNG.random(grid.shape)
         via_pad = op.apply(g).ravel()
-        via_mat = A @ g.ravel() + b
+        via_mat = A @ g.ravel()
         np.testing.assert_allclose(via_mat, via_pad, rtol=0, atol=1e-13)
 
 
@@ -118,7 +113,7 @@ def test_matrix_agrees_with_padded_apply(grid):
 def test_operator_matrix_is_symmetric(grid):
     # face-shared coefficients make the coupling matrix symmetric bit for bit,
     # including every kind of boundary folding; the 1D LDL^T solve relies on it
-    A, _ = make_operator(grid).matrix()
+    A = make_operator(grid).matrix()
     assert (A != A.T).nnz == 0
 
 
@@ -127,7 +122,7 @@ def test_1d_chain_form_rebuilds_negated_matrix(grid):
     # the 1D linear stage keeps only the diagonal and the ``up`` couplings, so
     # mirroring them must rebuild -A in chain order exactly
     op = make_operator(grid)
-    A, _ = op.matrix()
+    A = op.matrix()
     p = op.pattern
     dn, up = op._negated()
     m = dn.size
@@ -145,9 +140,9 @@ def test_far_start_converges_to_absolute_tolerance():
     # below the starting one but above TOL_ABS, and Newton must go on
     grid = GRID_CASES[0]
     op = make_operator(grid, scale=0.2)
-    A, b = op.matrix()
+    A = op.matrix()
     u_exact = RNG.random(grid.size)
-    problem = identity_problem(op, u_exact - (A @ u_exact + b))
+    problem = identity_problem(op, u_exact - A @ u_exact)
     u, report = solve_newton(problem, np.full(grid.shape, 1e12))
     assert report.converged and report.residual <= 1e-10
     assert np.max(np.abs(problem.residual(u.ravel()))) <= 1e-10
@@ -156,37 +151,33 @@ def test_far_start_converges_to_absolute_tolerance():
 @pytest.mark.parametrize("grid", GRID_CASES)
 def test_linear_solves_match_dense_oracle(grid):
     op = make_operator(grid, scale=0.2)
-    A, b = op.matrix()
+    A = op.matrix()
     u_exact = RNG.random(grid.size)
-    rhs = u_exact - (A @ u_exact + b)
+    rhs = u_exact - A @ u_exact
     u, report = solve_newton(identity_problem(op, rhs), np.zeros(grid.shape))
     assert report.converged and report.iterations == 1
     np.testing.assert_allclose(u.ravel(), u_exact, rtol=0, atol=1e-11)
     n = grid.size
-    dense = np.linalg.solve(np.eye(n) - A.toarray(), rhs + b)
+    dense = np.linalg.solve(np.eye(n) - A.toarray(), rhs)
     np.testing.assert_allclose(u.ravel(), dense, rtol=0, atol=1e-11)
 
 
 def coo_matrix_reference(op):
-    """(A, b) of ``op`` assembled from scratch, term by term, through COO."""
+    """A of ``op`` assembled from scratch, term by term, through COO."""
     grid, n = op.grid, op.grid.size
     gm = grid.ghost_map(op.width)
     rows, cols, vals = [], [], []
-    b = np.zeros(n)
     c = np.arange(n)
     for off, w in op.terms:
         wf = np.asarray(w, dtype=float).ravel()
         nb = np.asarray(_shifted(grid, gm.src, op.width, off)).ravel()
-        inside = nb >= 0
-        rows += [c[inside], c]
-        cols += [nb[inside], c]
-        vals += [wf[inside], -wf]
-        if not inside.all():
-            b[c[~inside]] += wf[~inside] * np.asarray(op.g_boundary)[-1 - nb[~inside]]
+        rows += [c, c]
+        cols += [nb, c]
+        vals += [wf, -wf]
     A = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
     )
-    return A.toarray(), b
+    return A.toarray()
 
 
 def reference_cases():
@@ -201,16 +192,14 @@ def test_pattern_assembly_matches_coo_reference():
     for grid, ops in reference_cases():
         assert ops[0].pattern is ops[1].pattern
         for op in ops:
-            A, b = op.matrix()
-            A_ref, b_ref = coo_matrix_reference(op)
-            np.testing.assert_allclose(A.toarray(), A_ref, rtol=0, atol=1e-15)
-            np.testing.assert_allclose(b, b_ref, rtol=0, atol=1e-15)
+            A = op.matrix()
+            np.testing.assert_allclose(A.toarray(), coo_matrix_reference(op), rtol=0, atol=1e-15)
 
 
 def test_linear_solve_with_varying_diagonal_matches_dense():
     for grid, ops in reference_cases():
         for op in ops:
-            A, _ = op.matrix()
+            A = op.matrix()
             fp = 0.5 + RNG.random(grid.size)
             b = RNG.standard_normal(grid.size)
             x = _solve_linear(op, fp, b)
@@ -223,7 +212,7 @@ def test_cg_stall_raises_linear_solve_error(monkeypatch):
 
     monkeypatch.setattr(elliptic, "cg", lambda S, b, **kw: (np.zeros_like(b), 7))
     op = make_operator(GRID_CASES[4])
-    A, _ = op.matrix()
+    A = op.matrix()
     fp = np.linspace(1.0, 2.0, op.grid.size)
     with pytest.raises(LinearSolveError) as err:
         _solve_linear(op, fp, np.ones_like(fp))
@@ -238,7 +227,7 @@ def test_indefinite_1d_system_raises_linear_solve_error():
     # negative slopes on a periodic grid: the LDL^T factorization meets a
     # negative pivot at the first position of the first cycle
     op = make_operator(GRID_CASES[0])
-    A, _ = op.matrix()
+    A = op.matrix()
     fp = -np.linspace(1.0, 2.0, op.grid.size)
     with pytest.raises(LinearSolveError) as err:
         _solve_linear(op, fp, np.ones_like(fp))
@@ -268,7 +257,7 @@ def counting_cg(monkeypatch):
 def test_cg_stops_at_requested_tolerance(monkeypatch, case):
     counts = counting_cg(monkeypatch)
     op = make_operator(GRID_CASES[case])
-    A, _ = op.matrix()
+    A = op.matrix()
     rng = np.random.default_rng(case)
     fp = 0.5 + rng.random(op.grid.size)
     b = rng.standard_normal(op.grid.size)
@@ -341,9 +330,9 @@ def test_first_forcing_lands_linear_problems(monkeypatch, case):
     # the tolerance that lands on the root in one step
     grid = GRID_CASES[case]
     op = make_operator(grid, scale=0.2)
-    A, b = op.matrix()
+    A = op.matrix()
     u_exact = RNG.random(grid.size)
-    problem = identity_problem(op, u_exact - (A @ u_exact + b))
+    problem = identity_problem(op, u_exact - A @ u_exact)
     u0 = RNG.random(grid.shape)
     r0 = np.max(np.abs(problem.residual(u0.ravel())))
     rtols = cg_rtols(monkeypatch)
@@ -403,7 +392,7 @@ def test_chain_slots_hold_beyond_int32_keys():
     # 46342^2 exceeds the int32 range, so the chain slot keys need intp
     grid = Grid(nx=46342)
     op = make_operator(grid)
-    A, _ = op.matrix()
+    A = op.matrix()
     fp = 0.5 + RNG.random(grid.size)
     b = RNG.standard_normal(grid.size)
     x = _solve_linear(op, fp, b)
@@ -413,9 +402,9 @@ def test_chain_slots_hold_beyond_int32_keys():
 def test_laplacian_form_linear_solve():
     for grid in LAPLACIAN_GRIDS:
         op = DiffusionOperator(grid, 1, laplacian_terms(grid, 0.7))
-        A, b = op.matrix()
+        A = op.matrix()
         u_exact = RNG.random(grid.size)
-        rhs = u_exact - (A @ u_exact + b)
+        rhs = u_exact - A @ u_exact
         u, report = solve_newton(identity_problem(op, rhs), np.zeros(grid.shape))
         assert report.converged
         np.testing.assert_allclose(u.ravel(), u_exact, rtol=0, atol=1e-11)
@@ -454,7 +443,7 @@ def test_tridiagonal_solve_of_one_position():
 def assert_diagonally_dominant(problem, fp):
     """-A is a weighted graph Laplacian, so the Newton matrix diag(fp) - A
     is diagonally dominant with a positive diagonal wherever fp > 0."""
-    A, _ = problem.op.matrix()
+    A = problem.op.matrix()
     J = (sp.diags(fp) - A).tocsr()
     diag = J.diagonal()
     offsum = np.asarray(abs(J).sum(axis=1)).ravel() - np.abs(diag)
@@ -495,9 +484,9 @@ def test_zero_coupling_reduces_to_analytic_inverse():
 def test_nonlinear_manufactured_solution(grid, law=LAW):
     a = 0.5 + RNG.random(grid.shape)
     op = DiffusionOperator(grid, 2, stride2_terms(grid, a, 0.05))
-    A, b = op.matrix()
+    A = op.matrix()
     u_exact = (0.02 + 2.0 * RNG.random(grid.size)) ** 2
-    rhs = singular_pressure_inverse(u_exact, law) - (A @ u_exact + b)
+    rhs = singular_pressure_inverse(u_exact, law) - A @ u_exact
     problem = pressure_problem(grid, op, rhs, law)
 
     def hook(u_raw):
@@ -518,7 +507,7 @@ def test_jacobian_matches_directional_difference():
     direction = RNG.standard_normal(18)
     h = 1e-7
     fd = (problem.residual(u + h * direction) - problem.residual(u - h * direction)) / (2 * h)
-    A, _ = op.matrix()
+    A = op.matrix()
     fp = singular_pressure_inverse_deriv(u, LAW)
     analytic = fp * direction - A @ direction
     np.testing.assert_allclose(fd, analytic, rtol=1e-6, atol=1e-8)
@@ -593,9 +582,9 @@ def test_iteration_count_stays_flat_under_refinement():
         scale = 0.25 * 0.1**2  # dt = 0.1 dx makes the coupling mesh-free
         op = DiffusionOperator(grid, 2, stride2_terms(grid, a, scale))
         target_Z = 0.5 + 0.3 * np.sin(2 * np.pi * x + 1.0)
-        A, b = op.matrix()
+        A = op.matrix()
         u_exact = singular_pressure(target_Z, LAW)
-        rhs = target_Z - (A @ u_exact + b)
+        rhs = target_Z - A @ u_exact
         _, report = solve_newton(pressure_problem(grid, op, rhs),
                                  np.full(n, 0.05), lower=0.0)
         counts.append(report.iterations)

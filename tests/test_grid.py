@@ -3,17 +3,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from congested_euler.grid import (
-    BOTTOM,
-    LEFT,
-    RIGHT,
-    TOP,
-    Dirichlet,
     Grid,
     GridState,
     OutflowWindow,
     Periodic,
     Wall,
-    dirichlet_values,
     interior,
     l1_error,
     pad_field,
@@ -37,23 +31,6 @@ def test_wall_pad_1d_hand_case():
     np.testing.assert_array_equal(
         pad_field(g, f, 2, kind="q1"), [-2, -1, 1, 2, 3, 4, -4, -3]
     )
-
-
-def test_dirichlet_pad_1d():
-    bcl = Dirichlet(rho=0.7, q1=0.8, Z=7.0 / 12.0)
-    bcr = Dirichlet(rho=0.7, q1=-0.8, Z=0.7)
-    g = Grid(nx=4, bc_x=(bcl, bcr))
-    st8 = GridState.from_primitives(g, 1.0, 0.5, 2.0)
-    padded_rho = st8.padded(g, "rho", 2)
-    np.testing.assert_allclose(padded_rho, [0.7, 0.7, 1, 1, 1, 1, 0.7, 0.7])
-    padded_q1 = st8.padded(g, "q1", 1)
-    np.testing.assert_allclose(padded_q1, [0.8, 0.5, 0.5, 0.5, 0.5, -0.8])
-    # exterior rho_star derives from the fixed state
-    np.testing.assert_allclose(
-        st8.padded(g, "rho_star", 1), [1.2, 2, 2, 2, 2, 1.0]
-    )
-    with pytest.raises(ValueError):
-        pad_field(g, st8.rho, 1)  # no exterior values supplied
 
 
 def test_outflow_window_splits_bottom_side():
@@ -91,18 +68,6 @@ def test_periodic_pad_2d_wraps_both_axes():
     np.testing.assert_array_equal(out[0, 1:-1], f[-1])
     np.testing.assert_array_equal(out[1:-1, 0], f[:, -1])
     assert out[0, 0] == f[-1, -1]
-
-
-def test_dirichlet_x_periodic_y_2d():
-    bcl = Dirichlet(rho=1.0, q1=2.0, Z=0.5)
-    g = Grid(nx=3, bc_x=(bcl, bcl), ny=2)
-    stt = GridState.from_primitives(g, 0.5, 0.0, 1.0, 0.0)
-    padded = stt.padded(g, "q1", 1)
-    np.testing.assert_array_equal(padded[1:-1, 0], [2.0, 2.0])
-    np.testing.assert_array_equal(padded[1:-1, -1], [2.0, 2.0])
-    vals = dirichlet_values(g, "rho_star")
-    assert vals[LEFT] == pytest.approx(2.0) and vals[RIGHT] == pytest.approx(2.0)
-    assert np.isnan(vals[BOTTOM]) and np.isnan(vals[TOP])
 
 
 def test_grid_validation():
@@ -165,18 +130,13 @@ SIDE_KINDS = {
     "periodic": (Periodic(), Periodic()),
     "wall": (Wall(), Wall()),
     "outflow": (OutflowWindow(0.3, 0.6), Wall()),
-    "dirichlet": (Dirichlet(rho=0.7, q1=0.8, Z=0.5, q2=-0.1), Dirichlet(rho=0.6, q1=-0.2, Z=0.4)),
 }
 
 
-def gather_pad(grid, values, width, kind, dirichlet):
-    """Padding read through the ghost map's raw ``src``, fixed cells filled after."""
+def gather_pad(grid, values, width, kind):
+    """Padding read through the ghost map's ``src`` and signs by fancy indexing."""
     gm = grid.ghost_map(width)
-    out = np.ravel(values)[np.maximum(gm.src, 0)]
-    out = out * {"scalar": 1.0, "q1": gm.sign_q1, "q2": gm.sign_q2}[kind]
-    fixed = gm.src < 0
-    out[fixed] = np.asarray(dirichlet)[-1 - gm.src[fixed]]
-    return out
+    return np.ravel(values)[gm.src] * {"scalar": 1.0, "q1": gm.sign_q1, "q2": gm.sign_q2}[kind]
 
 
 @pytest.mark.parametrize("x_sides", sorted(SIDE_KINDS))
@@ -186,17 +146,6 @@ def test_pad_field_matches_gather_through_src(x_sides, y_sides):
              bc_y=None if y_sides is None else SIDE_KINDS[y_sides])
     rng = np.random.default_rng(3)
     f = rng.standard_normal(g.shape)
-    dvals = np.array([1.5, 2.5, 3.5, 4.5])
     for width in (1, 2):
         for kind in ("scalar", "q1", "q2")[: g.ndim + 1]:
-            assert np.array_equal(pad_field(g, f, width, kind, dvals),
-                                  gather_pad(g, f, width, kind, dvals))
-
-
-def test_dirichlet_values_are_read_only():
-    g = Grid(nx=4, bc_x=SIDE_KINDS["dirichlet"])
-    vals = dirichlet_values(g, "rho")
-    assert dirichlet_values(g, "rho") is vals
-    with pytest.raises(ValueError):
-        vals[LEFT] = 1.0
-    assert vals[LEFT] == 0.7
+            assert np.array_equal(pad_field(g, f, width, kind), gather_pad(g, f, width, kind))

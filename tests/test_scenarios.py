@@ -10,7 +10,6 @@ from congested_euler.grid import (
     LEFT,
     RIGHT,
     TOP,
-    Dirichlet,
     OutflowWindow,
     Periodic,
     Wall,
@@ -46,10 +45,10 @@ def test_scenario_rejects_bad_fields():
     for bad in (
         dict(gamma=1.0), dict(epsilon=nan), dict(alpha=nan), dict(t_end=nan),
         dict(t_end=inf), dict(dt=nan), dict(dt_factor=nan), dict(seed=-1),
-        dict(rho_star_const=nan),
+        dict(rho_star_const=nan), dict(nx=1),
     ):
         with pytest.raises(ValueError):
-            Scenario(kind="riemann1d", nx=8, **bad)
+            Scenario(kind="riemann1d", **{"nx": 8, **bad})
     for bad in (
         dict(nx=8, beta=nan), dict(nx=8, beta=inf), dict(nx=8, rho_star_const=nan),
         dict(nx=8, rho_star_const=inf), dict(nx=1), dict(nx=8, ny=1),
@@ -73,11 +72,11 @@ def test_riemann1d_initial_state():
     assert np.array_equal(state.q1, np.where(left, 0.8, -0.8))
     assert np.array_equal(state.Z, np.where(left, 0.7 / 1.2, 0.7))
     assert np.array_equal(state.rho_star, np.where(left, 1.2, 1.0))
-    # far-field values are held at the ends
-    bl, br = grid.boundaries[LEFT], grid.boundaries[RIGHT]
-    assert isinstance(bl, Dirichlet) and isinstance(br, Dirichlet)
-    assert (bl.rho, bl.q1, bl.Z) == (0.7, 0.8, 0.7 / 1.2)
-    assert (br.rho, br.q1, br.Z) == (0.7, -0.8, 0.7)
+    # zero-gradient ends: the ghosts repeat the far-field states
+    assert grid.boundaries[LEFT] == grid.boundaries[RIGHT] == OutflowWindow(0.0, 1.0)
+    for name, (lo, hi) in (("rho", (0.7, 0.7)), ("q1", (0.8, -0.8)), ("Z", (0.7 / 1.2, 0.7))):
+        padded = state.padded(grid, name, 2)
+        assert np.array_equal(padded[[0, 1, -2, -1]], [lo, lo, hi, hi])
 
 
 def test_smooth1d_peak_values():

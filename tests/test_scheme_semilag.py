@@ -17,13 +17,11 @@ from hypothesis import strategies as st
 from congested_euler import scheme_conservative as zq
 from congested_euler import scheme_semilag as sl
 from congested_euler.grid import (
-    Dirichlet,
     Grid,
     GridState,
     OutflowWindow,
     Periodic,
     Wall,
-    dirichlet_values,
     l1_error,
     pad_field,
     total_mass,
@@ -32,6 +30,7 @@ from congested_euler.pressure import PressureLaw, singular_pressure
 from congested_euler.riemann import PrimState, solve_riemann
 
 LAW = PressureLaw(epsilon=1e-2, alpha=2.0, gamma=2.0)
+ZERO_GRADIENT = (OutflowWindow(0.0, 1.0),) * 2
 
 
 def smooth_state(grid, base_rho=0.6, amp=0.2, rho_star=None):
@@ -162,8 +161,7 @@ def test_interpolation_stays_within_its_data(seed, scale, time_order, grid):
 
 def tuple_index_advect(rho_star, velocity, dt, grid, order):
     """semilag_advect with each node read by a tuple of index arrays."""
-    dvals = dirichlet_values(grid, "rho_star") if grid.has_dirichlet else None
-    pad = pad_field(grid, rho_star, 2, "scalar", dvals)
+    pad = pad_field(grid, rho_star, 2)
     feet = []
     for (axis, h, qn), v, bcs in zip(zq._axes(grid), velocity, grid.bcs):
         u = sl._foot_positions(grid, v, dt, order, qn, axis, h)
@@ -185,7 +183,7 @@ def tuple_index_advect(rho_star, velocity, dt, grid, order):
 @pytest.mark.parametrize("grid", [
     Grid(nx=24, ny=40, bc_x=(Wall(), Wall()), bc_y=(OutflowWindow(0.4, 0.6), Wall())),
     Grid(nx=30),
-    Grid(nx=30, bc_x=(Dirichlet(rho=0.7, q1=0.8, Z=0.5), Dirichlet(rho=0.6, q1=-0.3, Z=0.4))),
+    Grid(nx=30, bc_x=ZERO_GRADIENT),
 ])
 def test_semilag_advect_matches_tuple_index_reads(grid, order):
     rng = np.random.default_rng(7)
@@ -336,7 +334,7 @@ def test_corrector_uses_distinct_flux_state():
 UNIT_CAPACITY_GRIDS = [
     Grid(nx=24),
     Grid(nx=24, bc_x=(Wall(), Wall())),
-    Grid(nx=24, bc_x=(Dirichlet(rho=0.5, q1=0.1, Z=0.5), Dirichlet(rho=0.6, q1=0.0, Z=0.6))),
+    Grid(nx=24, bc_x=ZERO_GRADIENT),
     Grid(nx=10, ny=8),
     Grid(nx=10, ny=8, bc_x=(Wall(), Wall()), bc_y=(OutflowWindow(0.3, 0.7), Wall())),
 ]
@@ -372,9 +370,7 @@ def test_substeps_of_both_schemes_agree_at_unit_capacity(grid, order, w, old_sha
 
 @pytest.mark.parametrize("order", [1, 2])
 @pytest.mark.parametrize("scheme", [zq, sl], ids=["zq", "sl"])
-@pytest.mark.parametrize(
-    "grid", [g for g in UNIT_CAPACITY_GRIDS if not g.has_dirichlet]
-)
+@pytest.mark.parametrize("grid", UNIT_CAPACITY_GRIDS)
 def test_relaxation_acts_once_after_the_fv_stage(grid, scheme, order):
     # Relaxing inside the step equals relaxing the unrelaxed step's momenta
     # with its density: one relaxation, after the stage, in either scheme.
@@ -463,8 +459,7 @@ def test_walled_box_conserves_mass_2d():
 
 
 def test_uniform_dirichlet_far_field_is_steady():
-    left = Dirichlet(rho=0.7, q1=0.56, Z=7.0 / 12.0)
-    grid = Grid(nx=24, bc_x=(left, left))
+    grid = Grid(nx=24, bc_x=ZERO_GRADIENT)
     state = GridState.from_primitives(grid, 0.7, 0.8, 1.2)
     dt = 0.1 * grid.dx
     for order in (1, 2):
@@ -541,11 +536,7 @@ def test_matches_conservative_scheme_under_refinement():
 def run_riemann_sl(nx, law, t_end, order):
     left = PrimState(rho=0.7, v=8.0 / 7.0, Z=7.0 / 12.0)
     right = PrimState(rho=0.7, v=-8.0 / 7.0, Z=0.7)
-    bc = (
-        Dirichlet(rho=left.rho, q1=left.rho * left.v, Z=left.Z),
-        Dirichlet(rho=right.rho, q1=right.rho * right.v, Z=right.Z),
-    )
-    grid = Grid(nx=nx, bc_x=bc)
+    grid = Grid(nx=nx, bc_x=ZERO_GRADIENT)
     x = grid.centers_x
     state = GridState.from_primitives(
         grid,
@@ -580,11 +571,7 @@ def test_momentum_overshoot_exceeds_conservative_scheme():
     grid, state_sl, exact, _, _ = run_riemann_sl(200, LAW, t_end, order=1)
     left = PrimState(rho=0.7, v=8.0 / 7.0, Z=7.0 / 12.0)
     right = PrimState(rho=0.7, v=-8.0 / 7.0, Z=0.7)
-    bc = (
-        Dirichlet(rho=left.rho, q1=left.rho * left.v, Z=left.Z),
-        Dirichlet(rho=right.rho, q1=right.rho * right.v, Z=right.Z),
-    )
-    grid_zq = Grid(nx=200, bc_x=bc)
+    grid_zq = Grid(nx=200, bc_x=ZERO_GRADIENT)
     x = grid_zq.centers_x
     state_zq = GridState.from_primitives(
         grid_zq,
