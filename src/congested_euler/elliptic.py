@@ -103,7 +103,7 @@ class DiffusionOperator:
         self._neg = None
 
     def apply(self, g):
-        """Reference evaluation through ghost padding."""
+        """A g through ghost padding: each stage's back-substitution of its masses."""
         gp = pad_field(self.grid, g, self.width)
         g = np.asarray(g, dtype=float).reshape(self.grid.shape)
         out = np.zeros(self.grid.shape)
@@ -234,9 +234,8 @@ def solve_newton(problem: EllipticProblem, u0, *, lower=None, iterate_hook=None)
 
     Each linear stage is solved only as far as the next step can use: its
     relative tolerance starts at eta_land = max(CG_RTOL, c TOL_ABS / r_0)
-    and, after each accepted iterate, becomes 0.9 (r_k / r_{k-1})^2, raised
-    to 0.9 eta_prev^2 when that exceeds 0.1, then clipped to
-    [max(c TOL_ABS / r_k, CG_RTOL), 0.1], with r the max-norm residual and
+    and, after each accepted iterate, becomes 0.9 (r_k / r_{k-1})^2 clipped
+    to [max(c TOL_ABS / r_k, CG_RTOL), 0.1], with r the max-norm residual and
     c = ``FORCING_FLOOR``.  Only the 2D CG solve reads it, so only a 2D solve
     raises the first one to min(0.1, max(eta_land, m / r_0)), m the max-norm
     of f(u_j) - f(u_0) - f'(u_0) (u_j - u_0) at CG's first (Jacobi) step u_j.
@@ -283,9 +282,6 @@ def solve_newton(problem: EllipticProblem, u0, *, lower=None, iterate_hook=None)
             iterate_hook(u_raw.reshape(grid.shape))
         if res <= TOL_ABS:
             return u.reshape(grid.shape), NewtonReport(it, res, True)
-        safeguard = 0.9 * eta**2
         eta = 0.9 * (res / res_prev) ** 2
-        if safeguard > 0.1:
-            eta = max(eta, safeguard)
         eta = min(0.1, max(eta, FORCING_FLOOR * TOL_ABS / res, CG_RTOL))
     raise NewtonError("no convergence", NewtonReport(MAX_ITER, res, False))

@@ -17,7 +17,7 @@ A mirrored side needs at least ``w`` cells.  Ghost indices resolve x first,
 so at a corner a window on an x side tests the virtual y coordinate of the
 ghost, and a window on a y side the aliased x coordinate.  Explicit stencils,
 the implicit pressure systems, and characteristic-foot interpolation all read
-the same map, so every part of a scheme sees identical boundaries.
+the same map, so every part of a scheme sees the same boundary values.
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-
-LEFT, RIGHT, BOTTOM, TOP = range(4)
 
 
 @dataclass(frozen=True)
@@ -182,11 +180,6 @@ class Grid:
     def cell_centers(self) -> list:
         """Cell-center coordinates, one field-shaped array per direction, x first."""
         return [(i + 0.5) * h for i, h in zip(np.indices(self.shape)[::-1], self.spacing)]
-
-    @property
-    def boundaries(self) -> tuple:
-        """Sides in the order LEFT, RIGHT, BOTTOM, TOP."""
-        return tuple(bc for pair in self.bcs for bc in pair)
 
     def ghost_map(self, width: int) -> GhostMap:
         gm = self._ghost_maps.get(width)

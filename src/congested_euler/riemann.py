@@ -12,7 +12,9 @@ state is the unique intersection of the forward curve from the left state
 :func:`solve_riemann` builds the fan for a positive stiffness epsilon;
 :func:`limit_congested_solution` builds the epsilon -> 0 fan of a collision
 strong enough to congest, where the middle region sits exactly on the bound
-Z = 1 and carries a finite residual pressure p_bar.
+Z = 1 and carries a finite residual pressure p_bar.  Both find only the middle
+state and share one assembly of the fan around it; with the middle on the
+bound, each nonlinear wave of the limit fan is a shock.
 
 scipy's ``integrate`` and ``optimize`` load on first use, inside the functions
 that call them, so importing the package does not pay for them.
@@ -160,7 +162,6 @@ class RiemannFan:
     waves: tuple
     pressures: tuple  # total pressure of (left, middle, right) regions
     residual: float
-    root_count: int
 
     def _fan_state(self, family: int, xi: float) -> PrimState:
         from scipy.optimize import brentq
@@ -224,8 +225,19 @@ def _nonlinear_wave(family: int, hat: PrimState, mid: PrimState, law: PressureLa
     return Wave(family, "rarefaction", lo, hi, lstate, rstate)
 
 
-def solve_riemann(left: PrimState, right: PrimState, law: PressureLaw,
-                  scan_intervals: int = 64) -> RiemannFan:
+def _fan(law, left, right, z_mid, v_mid, pressures, residual) -> RiemannFan:
+    """The fan around middle states at (z_mid, v_mid), each at its own side's rho*."""
+    mid_left = PrimState(rho=left.rho_star * z_mid, v=v_mid, Z=z_mid)
+    mid_right = PrimState(rho=right.rho_star * z_mid, v=v_mid, Z=z_mid)
+    waves = (
+        _nonlinear_wave(1, left, mid_left, law),
+        Wave(2, "contact", v_mid, v_mid, mid_left, mid_right),
+        _nonlinear_wave(3, right, mid_right, law),
+    )
+    return RiemannFan(law, left, mid_left, mid_right, right, waves, pressures, residual)
+
+
+def solve_riemann(left: PrimState, right: PrimState, law: PressureLaw) -> RiemannFan:
     """Intersect the two wave curves and assemble the fan.
 
     Raises :class:`VacuumError` when the curves only meet below Z_FLOOR and
@@ -250,12 +262,6 @@ def solve_riemann(left: PrimState, right: PrimState, law: PressureLaw,
             "middle state within 1e-12 of Z = 1; use limit_congested_solution"
         )
 
-    root_count = 0
-    if scan_intervals:
-        zs = np.linspace(z_lo, z_hi, scan_intervals + 1)
-        vals = np.array([g(z) for z in zs])
-        root_count = int(np.sum(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0))
-
     z_mid = brentq(g, z_lo, z_hi, xtol=_Z_XTOL, maxiter=200)
     v_left = wave_curve_velocity(z_mid, left, law, 1)
     v_right = wave_curve_velocity(z_mid, right, law, 3)
@@ -268,27 +274,8 @@ def solve_riemann(left: PrimState, right: PrimState, law: PressureLaw,
     width = _Z_XTOL + 4.0 * np.finfo(float).eps * z_mid
     if residual > max(_RESIDUAL_TOL, slope * width):
         raise RuntimeError(f"middle-state velocities differ by {residual:.3e}")
-    v_mid = 0.5 * (v_left + v_right)
-
-    mid_left = PrimState(rho=left.rho_star * z_mid, v=v_mid, Z=z_mid)
-    mid_right = PrimState(rho=right.rho_star * z_mid, v=v_mid, Z=z_mid)
-    w1 = _nonlinear_wave(1, left, mid_left, law)
-    w3 = _nonlinear_wave(3, right, mid_right, law)
-    contact = Wave(2, "contact", v_mid, v_mid, mid_left, mid_right)
-
-    return RiemannFan(
-        law=law,
-        left=left,
-        mid_left=mid_left,
-        mid_right=mid_right,
-        right=right,
-        waves=(w1, contact, w3),
-        pressures=tuple(
-            float(total_pressure(Z, law)) for Z in (left.Z, z_mid, right.Z)
-        ),
-        residual=residual,
-        root_count=max(root_count, 1),
-    )
+    pressures = tuple(float(total_pressure(Z, law)) for Z in (left.Z, z_mid, right.Z))
+    return _fan(law, left, right, z_mid, 0.5 * (v_left + v_right), pressures, residual)
 
 
 def limit_congested_solution(left: PrimState, right: PrimState,
@@ -333,26 +320,7 @@ def limit_congested_solution(left: PrimState, right: PrimState,
         raise RuntimeError(f"plateau velocities differ by {residual:.3e}")
     v_bar = left.v - np.sqrt((1.0 - left.Z) * (p_bar - p0_l) / left.rho)
 
-    mid_left = PrimState(rho=left.rho_star, v=v_bar, Z=1.0)
-    mid_right = PrimState(rho=right.rho_star, v=v_bar, Z=1.0)
-    sigma_m = (mid_left.q - left.q) / (mid_left.rho - left.rho)
-    sigma_p = (right.q - mid_right.q) / (right.rho - mid_right.rho)
-    waves = (
-        Wave(1, "shock", sigma_m, sigma_m, left, mid_left),
-        Wave(2, "contact", v_bar, v_bar, mid_left, mid_right),
-        Wave(3, "shock", sigma_p, sigma_p, mid_right, right),
-    )
-    return RiemannFan(
-        law=law,
-        left=left,
-        mid_left=mid_left,
-        mid_right=mid_right,
-        right=right,
-        waves=waves,
-        pressures=(p0_l, float(p_bar), p0_r),
-        residual=residual,
-        root_count=1,
-    )
+    return _fan(law, left, right, 1.0, v_bar, (p0_l, float(p_bar), p0_r), residual)
 
 
 def rh_residuals(fan: RiemannFan) -> list:
@@ -362,19 +330,12 @@ def rh_residuals(fan: RiemannFan) -> list:
     check applies to the vanishing-stiffness fan, whose plateau pressure is
     not a pointwise function of Z.
     """
-    P_l, P_m, P_r = fan.pressures
-    region_P = {
-        id(fan.left): P_l,
-        id(fan.mid_left): P_m,
-        id(fan.mid_right): P_m,
-        id(fan.right): P_r,
-    }
     out = []
-    for w in fan.waves:
+    # the 1-wave joins the left and middle regions, the 3-wave middle and right
+    for w, (Pa, Pb) in zip(fan.waves[::2], (fan.pressures[:2], fan.pressures[1:])):
         if w.kind != "shock":
             continue
         a, b = w.left, w.right
-        Pa, Pb = region_P[id(a)], region_P[id(b)]
         sigma = w.speed_lo
         r1 = sigma * (b.rho - a.rho) - (b.q - a.q)
         r2 = sigma * (b.q - a.q) - ((b.q * b.v + Pb) - (a.q * a.v + Pa))

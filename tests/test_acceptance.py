@@ -165,6 +165,43 @@ def test_criterion_8_limit_rows_order_1(scheme):
     )
 
 
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("scheme", ["zq", "sl"])
+def test_criterion_9_collide2d_ap_rows(scheme, order):
+    # The AP claim on the 2D collision at dt = 0.1dx: case 2, which settles
+    # most slowly in eps, stays finite, below Z = 1, periodic-mass exact,
+    # unclamped, unswitched and within 15 Newton iterations, and its density
+    # settles: the change from eps 1e-4 to 1e-6 is at most a tenth of the
+    # change from 1e-2 to 1e-4.
+    runs, finite, zmax, drift, clamps, switches, newton = {}, True, 0.0, 0.0, 0, 0, 0
+    for eps in (1e-2, 1e-4, 1e-6):
+        run = scenarios.run_scenario(Scenario(
+            kind="collide2d", nx=64, case=2, scheme=scheme, order=order, epsilon=eps,
+            t_end=0.15, frames_every=16,
+        ))
+        runs[eps] = run
+        for _, f in run.frames:
+            finite = finite and all(
+                np.all(np.isfinite(getattr(f, n))) for n in ("rho", "q1", "q2", "Z")
+            )
+            zmax = max(zmax, float(f.Z.max()))
+        drift = max(drift, float(np.max(np.abs(np.diff(run.mass)))) / run.mass[0])
+        clamps += sum(i.clamps for i in run.steps)
+        switches += sum(i.switched for i in run.steps)
+        newton = max(newton, int(run.newton_max.max()))
+    grid = runs[1e-2].grid
+    early = l1_error(grid, runs[1e-2].final.rho, runs[1e-4].final.rho)
+    late = l1_error(grid, runs[1e-4].final.rho, runs[1e-6].final.rho)
+    ok = (finite and zmax < 1.0 and drift <= 1e-12 and clamps == 0 and switches == 0
+          and newton <= 15 and late <= 0.1 * early)
+    _report(
+        9, f"collide2d AP row {scheme} o{order}, case 2, 64^2, eps in {{1e-2,1e-4,1e-6}}", ok,
+        f"finite={finite} 1-maxZ={1.0 - zmax:.1e} mass drift/step={drift:.1e} "
+        f"clamps={clamps} switches={switches} newton_max={newton} "
+        f"L1(rho) 1e-2->1e-4 {early:.2e}, 1e-4->1e-6 {late:.2e} (ratio {late / early:.3f})",
+    )
+
+
 @pytest.fixture(scope="module")
 def smooth_reference():
     s = Scenario(

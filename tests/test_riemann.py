@@ -3,7 +3,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
-from congested_euler.pressure import PressureLaw, eigenvalues, total_pressure_deriv
+from congested_euler.pressure import (
+    CongestionGuardError,
+    PressureLaw,
+    eigenvalues,
+    total_pressure_deriv,
+)
 from congested_euler.riemann import (
     CongestionLimitError,
     NotCongestedError,
@@ -84,7 +89,6 @@ def test_colliding_fan_frozen_values():
     assert w3.speed_lo == pytest.approx(2.3508891118, abs=1e-8)
     assert fan.pressures[1] == pytest.approx(3.01183668, abs=1e-6)
     assert fan.residual <= 1e-10
-    assert fan.root_count == 1
     # stiffer singular pressure pushes the middle state further from Z = 1
     soft = solve_riemann(COLLIDE_L, COLLIDE_R, LAW2)
     assert soft.mid_left.Z == pytest.approx(0.940151703943, abs=1e-9)
@@ -144,6 +148,11 @@ def test_limit_fan_rejects_weak_collision():
     # data that part into vacuum never reach Z = 1 either
     with pytest.raises(NotCongestedError):
         limit_congested_solution(PrimState(0.7, -3.0, 0.7 / 1.2), PrimState(0.7, 3.0, 0.7), LAW4)
+    # a side already on the bound has no finite limit shock: its wave is
+    # degenerate, and its sound speed is the singular one
+    with pytest.raises(CongestionGuardError):
+        limit_congested_solution(PrimState(0.9, 1.0, 1 - 1e-15), PrimState(0.7, -1.0, 0.7),
+                                 PressureLaw(1e-4))
 
 
 def test_vacuum_detection():
@@ -225,7 +234,7 @@ states = st.builds(
 @example(PrimState(rho=0.625, v=0.0, Z=0.75), PrimState(rho=0.5, v=0.5, Z=0.125))
 def test_random_fans_are_consistent(left, right):
     try:
-        fan = solve_riemann(left, right, LAW2, scan_intervals=16)
+        fan = solve_riemann(left, right, LAW2)
     except (VacuumError, CongestionLimitError):
         return
     assert fan.residual <= 1e-10
@@ -240,7 +249,6 @@ def test_random_fans_are_consistent(left, right):
         PrimState(right.rho, -right.v, right.Z),
         PrimState(left.rho, -left.v, left.Z),
         LAW2,
-        scan_intervals=0,
     )
     assert mirrored.mid_left.Z == pytest.approx(fan.mid_left.Z, rel=1e-9)
     assert mirrored.waves[1].speed_lo == pytest.approx(-wc.speed_lo, abs=1e-9)

@@ -6,10 +6,6 @@ import pytest
 from congested_euler import scenarios, scheme_conservative
 from congested_euler.elliptic import NewtonError, NewtonReport
 from congested_euler.grid import (
-    BOTTOM,
-    LEFT,
-    RIGHT,
-    TOP,
     OutflowWindow,
     Periodic,
     Wall,
@@ -73,7 +69,7 @@ def test_riemann1d_initial_state():
     assert np.array_equal(state.Z, np.where(left, 0.7 / 1.2, 0.7))
     assert np.array_equal(state.rho_star, np.where(left, 1.2, 1.0))
     # zero-gradient ends: the ghosts repeat the far-field states
-    assert grid.boundaries[LEFT] == grid.boundaries[RIGHT] == OutflowWindow(0.0, 1.0)
+    assert grid.bc_x == (OutflowWindow(0.0, 1.0),) * 2
     for name, (lo, hi) in (("rho", (0.7, 0.7)), ("q1", (0.8, -0.8)), ("Z", (0.7 / 1.2, 0.7))):
         padded = state.padded(grid, name, 2)
         assert np.array_equal(padded[[0, 1, -2, -1]], [lo, lo, hi, hi])
@@ -89,7 +85,7 @@ def test_smooth1d_peak_values():
     assert abs(state.rho[mid] - 0.8) < 1e-15
     assert abs(state.q1[mid] - 1.0) < 1e-15
     assert abs(state.rho_star[mid] - 1.2) < 1e-15
-    assert all(isinstance(b, Periodic) for b in grid.boundaries[:2])
+    assert all(isinstance(b, Periodic) for b in grid.bc_x)
 
 
 def test_smooth1d_profile_formulas():
@@ -113,7 +109,7 @@ def test_collide2d_geometry_and_momentum():
     s = Scenario(kind="collide2d", nx=20, case=1)
     grid = scenarios.build_grid(s)
     state = scenarios.build_initial_state(s, grid)
-    assert all(isinstance(b, Periodic) for b in grid.boundaries)
+    assert all(isinstance(b, Periodic) for b in grid.bc_x + grid.bc_y)
     west = square_mask(grid, 0.2, 0.5)
     east = square_mask(grid, 0.8, 0.5)
     south = square_mask(grid, 0.5, 0.2)
@@ -206,11 +202,11 @@ def test_evacuate2d_profiles():
 def test_evacuate2d_boundaries():
     s = Scenario(kind="evacuate2d", nx=16)
     grid = scenarios.build_grid(s)
-    exit_bc = grid.boundaries[BOTTOM]
+    exit_bc, top = grid.bc_y
     assert isinstance(exit_bc, OutflowWindow)
     assert (exit_bc.lo, exit_bc.hi) == (0.4, 0.6)
-    for side in (LEFT, RIGHT, TOP):
-        assert isinstance(grid.boundaries[side], Wall)
+    for side in grid.bc_x + (top,):
+        assert isinstance(side, Wall)
 
 
 def test_evacuate2d_random_profile_seeded():
