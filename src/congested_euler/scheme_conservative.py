@@ -57,6 +57,14 @@ from congested_euler.pressure import (
 
 GHOST_WIDTH = 2
 DENSITY_FLOOR = 1e-10
+# Newton starts from the stage's explicit mass phi / cap where it lies in
+# (0, FREE_START_MAX), and from the flux state's Z elsewhere.  The zq
+# order-2 tube at eps 1e-4 (nx 200, dt 0.1 dx) fails where rounding sends
+# it, at step 117 from the flux state's Z alone.  An upper end of 0.99 moves
+# that failure to step 91, inside criterion 5's 100 steps; 0.9 moves it to
+# 109 and 0.8 to 113, with about the same cut in Newton iterations (smooth1d
+# 2 -> 1 per stage); 0.5 leaves smooth1d at 2.
+FREE_START_MAX = 0.9
 
 
 class PressureSwitchTriggered(RuntimeError):
@@ -137,10 +145,12 @@ def _stage(grid, state_init, state_flux, dt, w, p_old, law, *, order, cap=None):
     semi-Lagrangian scheme, condenses rho alone.  The one Newton unknown is
     the pressure Pi = p_old + w pi_new, with the first mass cap Z((Pi -
     p_old) / w) as its map.  Newton starts from the congestion pressure of
-    ``state_flux``'s Z and keeps Pi >= p_old; when w < 1 a raw iterate below
-    that bound raises :class:`PressureSwitchTriggered`, at w = 1 it is only
-    clipped.  Returns the :class:`SubstepResult`, masses floored at
-    ``DENSITY_FLOOR`` (Z = rho / cap when ``cap`` is given).
+    the explicit mass phi / cap in free cells, 0 < phi / cap <
+    ``FREE_START_MAX``, where the small pressure moves little mass, and of
+    ``state_flux``'s Z elsewhere.  It keeps Pi >= p_old; when w < 1 a raw
+    iterate below that bound raises :class:`PressureSwitchTriggered`, at
+    w = 1 it is only clipped.  Returns the :class:`SubstepResult`, masses
+    floored at ``DENSITY_FLOOR`` (Z = rho / cap when ``cap`` is given).
     """
     masses = ("Z", "rho") if cap is None else ("rho",)
     W = GHOST_WIDTH
@@ -215,7 +225,9 @@ def _stage(grid, state_init, state_flux, dt, w, p_old, law, *, order, cap=None):
                     "time-weighted pressure fell below its explicit part"
                 )
 
-    u0 = p_old + w * singular_pressure(state_flux.Z, law)
+    z0 = phi / (1.0 if cap is None else cap)
+    z0 = np.where((z0 > 0.0) & (z0 < FREE_START_MAX), z0, state_flux.Z)
+    u0 = p_old + w * singular_pressure(z0, law)
     Pi, report = solve_newton(problem, u0, lower=p_old, iterate_hook=hook)
     new = {masses[0]: phi + op.apply(Pi)}
 

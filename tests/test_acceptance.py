@@ -202,6 +202,25 @@ def test_criterion_9_collide2d_ap_rows(scheme, order):
     )
 
 
+@pytest.mark.parametrize("scheme", ["zq", "sl"])
+def test_criterion_10_room_newton_budget(scheme):
+    # The Newton cost of a room that is mostly free: the 48^2 constant
+    # ceiling rho* 1.1 evacuated to t = 1 at eps 1e-2, where Newton in the
+    # pressure crawls through the sqrt(P) part of Z(P) unless it starts near
+    # the root.  Its end mass is the one both schemes reach, to 6 digits.
+    run = scenarios.run_scenario(Scenario(
+        kind="evacuate2d", nx=48, scheme=scheme, order=1, epsilon=1e-2,
+        profile="constant", rho_star_const=1.1, t_end=1.0,
+    ))
+    newton = int(run.newton_max.max())
+    mass = float(run.mass[-1])
+    ok = newton <= 8 and abs(mass - 0.575843) <= 5e-7
+    _report(
+        10, f"room Newton budget {scheme} o1, 48^2, rho*=1.1, eps=1e-2, t=1", ok,
+        f"newton_max={newton} <= 8, end mass={mass:.6f} (0.575843)",
+    )
+
+
 @pytest.fixture(scope="module")
 def smooth_reference():
     s = Scenario(

@@ -314,28 +314,62 @@ def test_pressure_switch_triggers_on_violent_release(advect, stepper):
 
 
 def test_implicit_substep_clips_negative_iterates_without_switching(monkeypatch):
-    # The same release at the implicit weight: the raw Newton iterates
-    # overshoot below P = 0, and with w = 1 that bound is only a clip, so
-    # no pressure-switch hook is armed and the substep completes.
+    # A release at the implicit weight into a crowd dense enough that every
+    # explicit mass stays at or above FREE_START_MAX, so Newton starts from
+    # the flux state's pressure: the raw iterates overshoot below P = 0 in
+    # the releasing cell, and with w = 1 that bound is only a clip, so no
+    # pressure-switch hook is armed and the substep completes.
     grid = Grid(nx=32)
-    rho = np.full(32, 0.2)
+    rho = np.full(32, 0.92)
     rho[16] = 0.999
     state = GridState.from_primitives(grid, rho, 0.0, 1.0)
     dt = 0.1 * grid.dx
-    hooks, lows = [], []
+    hooks, lows, starts = [], [], []
     newton = sc.solve_newton
 
     def spy(problem, u0, *, iterate_hook, **kwargs):
         hooks.append(iterate_hook)
+        starts.append(u0)
         record = lambda u_raw: lows.append(float(u_raw.min()))
         return newton(problem, u0, iterate_hook=record, **kwargs)
 
     monkeypatch.setattr(sc, "solve_newton", spy)
     res = substep(grid, state, state, dt, LAW, 1.0, 0.0, order=2)
     assert hooks == [None]
+    assert np.array_equal(starts[0], singular_pressure(state.Z, LAW))
     assert min(lows) < 0.0
     assert res.report.converged and np.all(res.pi >= 0.0)
     assert np.all(np.isfinite(res.state.rho)) and np.all(res.state.Z < 1.0)
+
+
+@pytest.mark.parametrize("cap", [None, 1.25], ids=["zq", "sl"])
+def test_newton_starts_from_the_explicit_mass_in_free_cells(monkeypatch, cap):
+    # One stage whose explicit mass phi / cap falls in all three bands: the
+    # outflow on both sides empties cell 4 (phi <= 0), cells 6-8 stay
+    # congested (phi / cap >= FREE_START_MAX), and the rest are free.  Only
+    # the free cells start from the congestion pressure of phi / cap.
+    grid = Grid(nx=12)
+    Z = np.full(12, 0.3)
+    Z[4], Z[6:9] = 1e-3, 0.98
+    flux = GridState.from_primitives(grid, 1.25 * Z, 0.0, 1.25)
+    init = flux.copy()
+    init.q1[3], init.q1[5] = -0.3, 0.3
+    seen = {}
+    newton = sc.solve_newton
+
+    def spy(problem, u0, **kwargs):
+        seen.update(phi=problem.rhs.copy(), u0=u0.copy())
+        return newton(problem, u0, **kwargs)
+
+    monkeypatch.setattr(sc, "solve_newton", spy)
+    cap_field = None if cap is None else np.full(12, cap)
+    res = sc._stage(grid, init, flux, 0.1 * grid.dx, 1.0, 0.0, LAW, order=1, cap=cap_field)
+    assert res.report.converged
+    z0 = seen["phi"] / (1.0 if cap is None else cap)
+    free = (z0 > 0.0) & (z0 < sc.FREE_START_MAX)
+    assert np.any(z0 <= 0.0) and np.any(free) and np.any(z0 >= sc.FREE_START_MAX)
+    assert np.array_equal(seen["u0"][free], singular_pressure(z0[free], LAW))
+    assert np.array_equal(seen["u0"][~free], singular_pressure(flux.Z[~free], LAW))
 
 
 def test_smooth_run_never_switches():
