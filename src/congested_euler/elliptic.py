@@ -87,28 +87,27 @@ class DiffusionOperator:
     """Weighted-difference operator sum_k w_k (g_{c+o_k} - g_c).
 
     ``terms`` holds (offset, weight) pairs with field-shaped nonnegative
-    weights; offsets have one entry per array axis, (di,) in 1D (a bare int
-    also works) and (dj, di) in 2D.  Ghost neighbors alias interior cells
-    through the grid's ghost map, so the operator is linear: A g.
+    weights; offsets are tuples with one entry per array axis, (di,) in 1D
+    and (dj, di) in 2D.  Ghost neighbors alias interior cells through the
+    grid's ghost map, so the operator is linear: A g.
     """
 
     grid: Grid
-    width: int
     terms: list
 
     def __post_init__(self):
         offsets = tuple(off for off, _ in self.terms)
-        self.pattern = self.grid.stencil_pattern(self.width, offsets)
+        self.pattern = self.grid.stencil_pattern(offsets)
         self._built = None
         self._neg = None
 
     def apply(self, g):
         """A g through ghost padding: each stage's back-substitution of its masses."""
-        gp = pad_field(self.grid, g, self.width)
+        gp = pad_field(self.grid, g)
         g = np.asarray(g, dtype=float).reshape(self.grid.shape)
         out = np.zeros(self.grid.shape)
         for off, w in self.terms:
-            out += np.asarray(w) * (_shifted(self.grid, gp, self.width, off) - g)
+            out += np.asarray(w) * (_shifted(self.grid, gp, off) - g)
         return out
 
     def matrix(self):

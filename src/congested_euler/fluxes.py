@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from congested_euler.grid import GHOST
 from congested_euler.pressure import eigenvalues
 
 
@@ -21,29 +22,27 @@ def minmod(a, b):
     return np.where(a * b > 0.0, np.where(np.abs(a) < np.abs(b), a, b), 0.0)
 
 
-def face_states(padded, width, axis, order):
+def face_states(padded, axis, order):
     """Left and right states at the n + 1 cell faces along ``axis``.
 
-    ``padded`` carries ``width`` ghost layers on every side; any other axis
-    is cropped to its interior cells.  Face ``i`` separates cells ``i - 1``
-    and ``i``, so faces 0 and n sit on the domain boundary.  Both returned
-    arrays hold the face axis last.
+    ``padded`` carries ``GHOST`` layers on every side; any other axis is
+    cropped to its interior cells.  Face ``i`` separates cells ``i - 1`` and
+    ``i``, so faces 0 and n sit on the domain boundary.  Both returned arrays
+    hold the face axis last.
     """
     a = np.asarray(padded, dtype=float).swapaxes(axis, -1)
-    a = a[(slice(width, -width),) * (a.ndim - 1)]
-    n = a.shape[-1] - 2 * width
+    a = a[(slice(GHOST, -GHOST),) * (a.ndim - 1)]
+    n = a.shape[-1] - 2 * GHOST
     if order == 1:
-        return a[..., width - 1 : width + n], a[..., width : width + n + 1]
+        return a[..., GHOST - 1 : GHOST + n], a[..., GHOST : GHOST + n + 1]
     if order != 2:
         raise ValueError(f"unsupported reconstruction order {order}")
-    if width < 2:
-        raise ValueError("second-order faces need two ghost layers")
     d = a[..., 1:] - a[..., :-1]
     mm = minmod(d[..., :-1], d[..., 1:])
     ctr = a[..., 1:-1]
     left = ctr + 0.5 * mm
     right = ctr - 0.5 * mm
-    return left[..., width - 2 : width - 1 + n], right[..., width - 1 : width + n]
+    return left[..., GHOST - 2 : GHOST - 1 + n], right[..., GHOST - 1 : GHOST + n]
 
 
 def div_from_faces(flux, axis, h):

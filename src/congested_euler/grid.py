@@ -10,10 +10,11 @@ in 1D) list y first, while per-direction sequences (``grid.spacing``,
 ``grid.bcs``, momentum names q1, q2) list x first.  Every stencil is written
 once as a loop over the axes.
 
-Boundaries are handled through ghost maps: for a padding width ``w``, every
-ghost cell aliases an interior cell (periodic wrap, or mirror for reflecting
-and zero-gradient sides) together with a sign for each momentum component.
-A mirrored side needs at least ``w`` cells.  Ghost indices resolve x first,
+Boundaries are handled through one ghost map per grid: a padded field
+carries ``GHOST`` = 2 layers on every side, and every ghost cell aliases an
+interior cell (periodic wrap, or mirror for reflecting and zero-gradient
+sides) together with a sign for each momentum component.  A mirrored side
+needs at least ``GHOST`` cells.  Ghost indices resolve x first,
 so at a corner a window on an x side tests the virtual y coordinate of the
 ghost, and a window on a y side the aliased x coordinate.  Explicit stencils,
 the implicit pressure systems, and characteristic-foot interpolation all read
@@ -27,6 +28,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+
+# Ghost layers on every side of a padded field: the second-order (MUSCL)
+# faces and the condensed stride-2 pressure operator both reach two cells out.
+GHOST = 2
 
 
 @dataclass(frozen=True)
@@ -64,7 +69,7 @@ def _alias(v, n, bcs, t=None):
         else:
             mirror = -v[out] - 1 if s == 0 else 2 * n - 1 - v[out]
             if np.any((mirror < 0) | (mirror >= n)):
-                raise ValueError("ghost width exceeds grid size at a reflecting side")
+                raise ValueError("ghost width exceeds grid size at a mirrored side")
             idx[out] = mirror
             if isinstance(bc, Wall):
                 sign[out] = -1.0
@@ -77,14 +82,13 @@ def _alias(v, n, bcs, t=None):
 
 @dataclass(frozen=True)
 class GhostMap:
-    """Padded-index resolution for one (grid, width) pair.
+    """Padded-index resolution of one grid's ``GHOST`` layers.
 
     ``src`` holds, per padded cell, the flat interior index it aliases,
     which is what padding reads.  The sign arrays apply to the x and y
     momentum components respectively.
     """
 
-    width: int
     src: np.ndarray
     sign_q1: np.ndarray
     sign_q2: np.ndarray
@@ -119,7 +123,7 @@ class Grid:
     bc_x: tuple = (Periodic(), Periodic())
     ny: int | None = None
     bc_y: tuple | None = None
-    _ghost_maps: dict = field(default_factory=dict, repr=False, compare=False)
+    _ghost_map: GhostMap | None = field(default=None, repr=False, compare=False)
     _patterns: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -181,43 +185,47 @@ class Grid:
         """Cell-center coordinates, one field-shaped array per direction, x first."""
         return [(i + 0.5) * h for i, h in zip(np.indices(self.shape)[::-1], self.spacing)]
 
-    def ghost_map(self, width: int) -> GhostMap:
-        gm = self._ghost_maps.get(width)
-        if gm is None:
-            gm = self._build_ghost_map(width)
-            self._ghost_maps[width] = gm
-        return gm
+    def ghost_map(self) -> GhostMap:
+        if self._ghost_map is None:
+            self._ghost_map = self._build_ghost_map()
+        return self._ghost_map
 
-    def stencil_pattern(self, width: int, offsets: tuple) -> StencilPattern:
-        if (width, offsets) not in self._patterns:
-            self._patterns[width, offsets] = _build_pattern(self, width, offsets)
-        return self._patterns[width, offsets]
+    def stencil_pattern(self, offsets: tuple) -> StencilPattern:
+        if offsets not in self._patterns:
+            self._patterns[offsets] = _build_pattern(self, offsets)
+        return self._patterns[offsets]
 
-    def _build_ghost_map(self, w: int) -> GhostMap:
+    def _build_ghost_map(self) -> GhostMap:
         # virtual indices of every padded cell, x first
-        v = [u - w for u in np.indices([n + 2 * w for n in self.shape])[::-1]]
+        v = [u - GHOST for u in np.indices([n + 2 * GHOST for n in self.shape])[::-1]]
         signs = [np.ones(v[0].shape), np.ones(v[0].shape)]
         for k, (n, bcs) in enumerate(zip(self.shape[::-1], self.bcs)):
             t = [(u + 0.5) * h for m, (u, h) in enumerate(zip(v, self.spacing)) if m != k]
             v[k], signs[k] = _alias(v[k], n, bcs, *t)
-        return GhostMap(w, np.ravel_multi_index(tuple(v[::-1]), self.shape), *signs)
+        return GhostMap(np.ravel_multi_index(tuple(v[::-1]), self.shape), *signs)
 
 
-def _shifted(grid: Grid, padded, width: int, offset):
-    """Interior-shaped view of a padded array displaced by a stencil offset.
+def _axes(grid: Grid):
+    """(array axis, spacing, normal momentum name) for each direction, x first."""
+    return [(grid.ndim - 1 - k, h, f"q{k + 1}") for k, h in enumerate(grid.spacing)]
 
-    ``offset`` has one entry per array axis; a bare int is a 1D offset.
-    """
-    offset = (offset,) if isinstance(offset, int) else offset
+
+def _offset(grid: Grid, axis: int, k: int):
+    """Stencil offset of k cells along one array axis."""
+    return tuple([k if a == axis else 0 for a in range(grid.ndim)])
+
+
+def _shifted(grid: Grid, padded, offset: tuple):
+    """Interior-shaped view of a padded array displaced by a stencil offset."""
     return padded[
-        tuple([slice(width + o, width + o + n) for o, n in zip(offset, grid.shape)])
+        tuple([slice(GHOST + o, GHOST + o + n) for o, n in zip(offset, grid.shape)])
     ]
 
 
-def _build_pattern(grid: Grid, width: int, offsets: tuple) -> StencilPattern:
+def _build_pattern(grid: Grid, offsets: tuple) -> StencilPattern:
     n = grid.size
-    src = grid.ghost_map(width).src
-    nb = np.stack([np.ravel(_shifted(grid, src, width, off)) for off in offsets])
+    src = grid.ghost_map().src
+    nb = np.stack([np.ravel(_shifted(grid, src, off)) for off in offsets])
     cells = np.arange(n)
     # entry (r, c) has key r * n + c, so sorted keys are CSR order
     keys, slot = np.unique(
@@ -261,12 +269,12 @@ def _chains(keys, n: int) -> dict:
     return dict(order=order, up=up, first=first, last=last)
 
 
-def pad_field(grid: Grid, values, width: int, kind: str = "scalar"):
-    """Extend a field by ``width`` ghost layers according to the grid's sides.
+def pad_field(grid: Grid, values, kind: str = "scalar"):
+    """Extend a field by ``GHOST`` layers according to the grid's sides.
 
     ``kind`` selects the reflection sign ("q1", "q2", or "scalar").
     """
-    gm = grid.ghost_map(width)
+    gm = grid.ghost_map()
     out = np.asarray(values, dtype=float).ravel().take(gm.src)
     if kind == "q1":
         out = out * gm.sign_q1
@@ -277,9 +285,9 @@ def pad_field(grid: Grid, values, width: int, kind: str = "scalar"):
     return out
 
 
-def interior(grid: Grid, padded, width: int):
+def interior(grid: Grid, padded):
     """View of the interior cells of a padded field."""
-    return padded[(slice(width, -width),) * grid.ndim]
+    return padded[(slice(GHOST, -GHOST),) * grid.ndim]
 
 
 _FIELD_KIND = {"rho": "scalar", "q1": "q1", "q2": "q2", "Z": "scalar", "rho_star": "scalar"}
@@ -322,8 +330,8 @@ class GridState:
         """Velocity components q / rho, one per dimension."""
         return tuple(q / self.rho for q in (self.q1, self.q2) if q is not None)
 
-    def padded(self, grid: Grid, name: str, width: int):
-        return pad_field(grid, getattr(self, name), width, _FIELD_KIND[name])
+    def padded(self, grid: Grid, name: str):
+        return pad_field(grid, getattr(self, name), _FIELD_KIND[name])
 
 
 def total_mass(grid: Grid, values) -> float:

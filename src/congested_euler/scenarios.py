@@ -16,6 +16,7 @@ import numpy as np
 from . import scheme_conservative, scheme_semilag
 from .elliptic import LinearSolveError, NewtonError
 from .grid import (
+    GHOST,
     Grid,
     GridState,
     OutflowWindow,
@@ -30,8 +31,8 @@ from .scheme_conservative import RelaxationConfig
 _KINDS = ("riemann1d", "smooth1d", "collide2d", "evacuate2d")
 _PROFILES = ("constant", "linear", "step", "random")
 _2D_KINDS = ("collide2d", "evacuate2d")
-# kinds with mirrored (reflecting or zero-gradient) sides, whose ghost layers
-# of width 2 need at least 2 cells a side
+# kinds with mirrored (reflecting or zero-gradient) sides, whose GHOST ghost
+# layers need at least GHOST cells a side
 _MIRRORED_KINDS = ("riemann1d", "evacuate2d")
 
 # colliding-shocks data: (rho, q, rho_star) on each side of x = 0.5
@@ -106,8 +107,8 @@ class Scenario:
                 raise ValueError("ny must be positive")
         elif self.ny is not None:
             raise ValueError(f"{self.kind} is one-dimensional; ny is not allowed")
-        if self.kind in _MIRRORED_KINDS and min(self.nx, self.ny or self.nx) < 2:
-            raise ValueError(f"the sides of {self.kind} need at least 2 cells a side")
+        if self.kind in _MIRRORED_KINDS and min(self.nx, self.ny or self.nx) < GHOST:
+            raise ValueError(f"the sides of {self.kind} need at least {GHOST} cells a side")
         if self.kind == "evacuate2d":
             if self.beta is None:
                 object.__setattr__(self, "beta", EVACUATION_BETA)
@@ -275,7 +276,7 @@ def run_scenario(s: Scenario) -> ScenarioResult:
             # looked up at call time, so a rebound ``step`` is the one called
             state, info = scheme.step(grid, state, dt, law, **options)
         except (NewtonError, LinearSolveError, DomainError) as exc:
-            last = "no step completed" if cfl is None else f"{cfl:.3g}"
+            last = "no step completed" if cfl is None else f"{cfl:.6g}"
             raise ScenarioError(
                 k, t_prev, f"step {k} failed at t={t_prev:.6g}: {exc}; "
                 f"background CFL of the last completed step: {last}", record(),
@@ -288,7 +289,7 @@ def run_scenario(s: Scenario) -> ScenarioResult:
         cfl = info.max_speed * dt / h_min
         if cfl > 1.0:
             raise ScenarioError(k, t_prev, f"step {k} failed at t={t_prev:.6g}: "
-                                f"background CFL {cfl:.3g} exceeds 1", record())
+                                f"background CFL {cfl:.6g} exceeds 1", record())
         if k == steps or (s.frames_every and k % s.frames_every == 0):
             frames.append((t, state.copy()))
 
@@ -308,7 +309,7 @@ def restrict(fine: np.ndarray, factor: int) -> np.ndarray:
 
 @dataclass
 class ConvergenceReport:
-    dxs: list  # requested spacings, coarse to fine
+    dxs: list  # spacings that ran, 1 / nx, coarse to fine
     dts: list  # time step used at each spacing
     errors: dict  # variable -> L1 error array aligned with dxs
     slopes: dict  # variable -> least-squares log-log slope
@@ -327,17 +328,17 @@ def run_convergence_study(
     The reference is computed with the conservative scheme at order 2 and
     CFL-scaled dt, whatever `base` uses, at the finest requested spacing
     unless ``ref_dx`` says otherwise; pass ``ref_state`` to reuse a solution
-    already computed at that spacing.  A refinement whose resolved parameters
-    coincide with the reference's is the reference itself, so its error is
-    exactly zero and it is left out of the slope fit.
+    already computed at that spacing.  Each spacing dx runs nx = round(1 / dx)
+    cells, and the report and the slope fit use the 1 / nx that ran.  A
+    refinement whose resolved parameters coincide with the reference's is the
+    reference itself, so its error is exactly zero and it is left out of the
+    slope fit.
     """
-    dxs = sorted((float(d) for d in refinements), reverse=True)
-    if len(dxs) < 3:
+    nxs = sorted(round(1 / float(d)) for d in refinements)
+    if len(nxs) < 3:
         raise ValueError("need at least three refinements")
-    if ref_dx is None:
-        ref_dx = dxs[-1]
-    nxs = [round(1 / d) for d in dxs]
-    nx_ref = round(1 / ref_dx)
+    nx_ref = nxs[-1] if ref_dx is None else round(1 / ref_dx)
+    dxs, ref_dx = [1 / nx for nx in nxs], 1 / nx_ref
     for nx in nxs:
         if nx_ref % nx:
             raise ValueError(f"reference resolution {nx_ref} not divisible by {nx}")
@@ -361,7 +362,7 @@ def run_convergence_study(
 
     errors = {name: [] for name in _STUDY_VARS}
     dts = []
-    for dx, nx in zip(dxs, nxs):
+    for nx in nxs:
         grid, state, dt_used = solve(replace(base, nx=nx, ny=None))
         dts.append(dt_used)
         factor = nx_ref // nx

@@ -33,7 +33,6 @@ import numpy as np
 from congested_euler.elliptic import (
     DiffusionOperator,
     EllipticProblem,
-    _shifted,
     solve_newton,
 )
 from congested_euler.fluxes import (
@@ -45,6 +44,9 @@ from congested_euler.fluxes import (
 from congested_euler.grid import (
     Grid,
     GridState,
+    _axes,
+    _offset,
+    _shifted,
     pad_field,
 )
 from congested_euler.pressure import (
@@ -55,7 +57,6 @@ from congested_euler.pressure import (
     singular_pressure_inverse_deriv,
 )
 
-GHOST_WIDTH = 2
 DENSITY_FLOOR = 1e-10
 # Newton starts from the stage's explicit mass phi / cap where it lies in
 # (0, FREE_START_MAX), and from the flux state's Z elsewhere.  The zq
@@ -120,16 +121,6 @@ def relaxation_update(q_star, rho_next, rc: RelaxationConfig, dt: float):
     )
 
 
-def _axes(grid: Grid):
-    """(array axis, spacing, normal momentum name) for each direction, x first."""
-    return [(grid.ndim - 1 - k, h, f"q{k + 1}") for k, h in enumerate(grid.spacing)]
-
-
-def _offset(grid: Grid, axis: int, k: int):
-    """Stencil offset of k cells along one array axis."""
-    return tuple([k if a == axis else 0 for a in range(grid.ndim)])
-
-
 def _stage(grid, state_init, state_flux, dt, w, p_old, law, *, order, cap=None):
     """One substep of either scheme: the condensed implicit stage.
 
@@ -153,17 +144,16 @@ def _stage(grid, state_init, state_flux, dt, w, p_old, law, *, order, cap=None):
     floored at ``DENSITY_FLOOR`` (Z = rho / cap when ``cap`` is given).
     """
     masses = ("Z", "rho") if cap is None else ("rho",)
-    W = GHOST_WIDTH
-    mass_p = {m: state_flux.padded(grid, m, W) for m in ("rho", "Z")}
-    mom_p = {qn: state_flux.padded(grid, qn, W) for _, _, qn in _axes(grid)}
+    mass_p = {m: state_flux.padded(grid, m) for m in ("rho", "Z")}
+    mom_p = {qn: state_flux.padded(grid, qn) for _, _, qn in _axes(grid)}
 
     div_q = {name: np.zeros(grid.shape) for name in mom_p}
     div_d = {m: np.zeros(grid.shape) for m in masses}
     max_speed = 0.0
     for axis, h, qn in _axes(grid):
-        faces = {m: face_states(mass_p[m], W, axis, order) for m in ("rho", "Z")}
+        faces = {m: face_states(mass_p[m], axis, order) for m in ("rho", "Z")}
         (rl, rr), (zl, zr) = faces["rho"], faces["Z"]
-        ql, qr = face_states(mom_p[qn], W, axis, order)
+        ql, qr = face_states(mom_p[qn], axis, order)
         c = np.maximum(
             max_wave_speed(rl, ql, zl, law), max_wave_speed(rr, qr, zr, law)
         )
@@ -172,7 +162,7 @@ def _stage(grid, state_init, state_flux, dt, w, p_old, law, *, order, cap=None):
         gr = qr * qr / rr + background_pressure(zr, law)
         div_q[qn] += div_from_faces(rusanov_flux(gl, gr, c, ql, qr), axis, h)
         for qt in [t for t in mom_p if t != qn]:
-            tl, tr = face_states(mom_p[qt], W, axis, order)
+            tl, tr = face_states(mom_p[qt], axis, order)
             flux_t = rusanov_flux(ql * tl / rl, qr * tr / rr, c, tl, tr)
             div_q[qt] += div_from_faces(flux_t, axis, h)
         for m in masses:
@@ -183,7 +173,7 @@ def _stage(grid, state_init, state_flux, dt, w, p_old, law, *, order, cap=None):
     r_p = {}
     for name in mt:
         r = (1.0 - w) * getattr(state_init, name) + w * mt[name]
-        r_p[name] = pad_field(grid, r, W, name)
+        r_p[name] = pad_field(grid, r, name)
 
     def condense(m):
         a_p = mass_p[m] / mass_p["rho"]
@@ -193,13 +183,11 @@ def _stage(grid, state_init, state_flux, dt, w, p_old, law, *, order, cap=None):
             ar = a_p * r_p[qn]
             east = _offset(grid, axis, 1)
             west = _offset(grid, axis, -1)
-            phi -= dt * (
-                _shifted(grid, ar, W, east) - _shifted(grid, ar, W, west)
-            ) / (2.0 * h)
+            phi -= dt * (_shifted(grid, ar, east) - _shifted(grid, ar, west)) / (2.0 * h)
             s = w * dt * dt / (4.0 * h * h)
-            terms.append((_offset(grid, axis, 2), s * _shifted(grid, a_p, W, east)))
-            terms.append((_offset(grid, axis, -2), s * _shifted(grid, a_p, W, west)))
-        return DiffusionOperator(grid, W, terms), phi
+            terms.append((_offset(grid, axis, 2), s * _shifted(grid, a_p, east)))
+            terms.append((_offset(grid, axis, -2), s * _shifted(grid, a_p, west)))
+        return DiffusionOperator(grid, terms), phi
 
     # Evaluating the condensed form once more makes each mass update
     # telescope exactly, so total mass is conserved to rounding regardless
@@ -231,12 +219,12 @@ def _stage(grid, state_init, state_flux, dt, w, p_old, law, *, order, cap=None):
     Pi, report = solve_newton(problem, u0, lower=p_old, iterate_hook=hook)
     new = {masses[0]: phi + op.apply(Pi)}
 
-    Pi_p = pad_field(grid, Pi, W)
+    Pi_p = pad_field(grid, Pi)
     q_new = {}
     for axis, h, qn in _axes(grid):
         grad = (
-            _shifted(grid, Pi_p, W, _offset(grid, axis, 1))
-            - _shifted(grid, Pi_p, W, _offset(grid, axis, -1))
+            _shifted(grid, Pi_p, _offset(grid, axis, 1))
+            - _shifted(grid, Pi_p, _offset(grid, axis, -1))
         ) / (2.0 * h)
         q_new[qn] = mt[qn] - dt * grad
 

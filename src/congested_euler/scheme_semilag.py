@@ -29,12 +29,15 @@ import math
 import numpy as np
 
 from congested_euler.grid import (
+    GHOST,
     Grid,
     Periodic,
+    _axes,
+    _offset,
     _shifted,
     pad_field,
 )
-from congested_euler.scheme_conservative import _advance, _axes, _offset
+from congested_euler.scheme_conservative import _advance
 
 
 def _lagrange_weights(theta):
@@ -64,8 +67,8 @@ def _foot_base(u, n: int, bc_pair):
 
 def _upwind_slope(grid: Grid, v, kind: str, axis: int, h: float):
     """One-sided difference of a velocity component against its own sign."""
-    vp = pad_field(grid, v, 1, kind)
-    ctr, west, east = (_shifted(grid, vp, 1, _offset(grid, axis, k)) for k in (0, -1, 1))
+    vp = pad_field(grid, v, kind)
+    ctr, west, east = (_shifted(grid, vp, _offset(grid, axis, k)) for k in (0, -1, 1))
     return np.where(v > 0.0, (ctr - west) / h, (east - ctr) / h)
 
 
@@ -81,24 +84,22 @@ def _foot_positions(grid: Grid, v, dt: float, order: int, kind: str, axis: int, 
 def semilag_advect(rho_star, velocity, dt: float, grid: Grid, order: int):
     """Trace characteristics backward and interpolate the congestion density.
 
-    ``velocity`` holds one component per direction, x first; a bare array is
-    the 1D velocity.  ``order`` 1 backtracks by Euler, 2 by a Taylor step
-    with the upwind velocity slope.  The interpolation is the tensor product
-    of the 1D cubic Lagrange stencils on each axis, clipped to the range of
-    the 2^d nodes of the cell that holds the foot (Bermejo and Staniforth,
-    Mon. Wea. Rev. 120, 1992): it stays within the range of its data and is
-    exact on cubics wherever the clip does not bind.
+    ``velocity`` is a tuple of one component per direction, x first.
+    ``order`` 1 backtracks by Euler, 2 by a Taylor step with the upwind
+    velocity slope.  The interpolation is the tensor product of the 1D cubic
+    Lagrange stencils on each axis, clipped to the range of the 2^d nodes of
+    the cell that holds the foot (Bermejo and Staniforth, Mon. Wea. Rev. 120,
+    1992): it stays within the range of its data and is exact on cubics
+    wherever the clip does not bind.
     """
     if order not in (1, 2):
         raise ValueError(f"backtracking order must be 1 or 2, got {order}")
-    pad = pad_field(grid, rho_star, 2)
-    if not isinstance(velocity, (tuple, list)):
-        velocity = (velocity,)
+    pad = pad_field(grid, rho_star)
     feet = []
-    for (axis, h, qn), v, bcs in zip(_axes(grid), velocity, grid.bcs):
+    for (axis, h, qn), v, bcs in zip(_axes(grid), velocity, grid.bcs, strict=True):
         u = _foot_positions(grid, v, dt, order, qn, axis, h)
         base, theta = _foot_base(u, grid.shape[axis], bcs)
-        feet.append((base + 1, _lagrange_weights(theta)))
+        feet.append((base + GHOST - 1, _lagrange_weights(theta)))
     # array-axis order, so the weights multiply as w_y * w_x; node ks sits
     # sum(k * stride) past the flat base index in the padded array
     bases, weights = zip(*feet[::-1])

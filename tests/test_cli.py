@@ -369,7 +369,7 @@ def test_failed_run_keeps_its_record(tmp_path, capsys):
     assert manifest["status"] == "failed"
     rows = read_diagnostics(out)
     assert len(rows) == manifest["steps"] >= manifest["failing_step"] - 1 >= 1
-    assert f"{rows['cfl'][-1]:.3g}" in manifest["error"]  # the CFL the error names
+    assert f"{rows['cfl'][-1]:.6g}" in manifest["error"]  # the CFL the error names
     assert manifest["clamps"] == int(rows["clamps"].sum()) == 0
     assert manifest["switched_steps"] == int(rows["switched"].sum())
     assert "error: step" in capsys.readouterr().err

@@ -19,6 +19,8 @@ from congested_euler.grid import (
     OutflowWindow,
     Periodic,
     Wall,
+    _axes,
+    _offset,
     _shifted,
     pad_field,
 )
@@ -36,23 +38,18 @@ RNG = np.random.default_rng(42)
 
 def stride2_terms(grid, a, scale):
     """Face-coefficient stride-2 couplings, the pressure-form operator shape."""
-    ap = pad_field(grid, a, 1)
-    if grid.ndim == 1:
-        return [(+2, scale * ap[2:]), (-2, scale * ap[:-2])]
+    ap = pad_field(grid, a)
     return [
-        ((0, +2), scale * ap[1:-1, 2:]),
-        ((0, -2), scale * ap[1:-1, :-2]),
-        ((+2, 0), scale * ap[2:, 1:-1]),
-        ((-2, 0), scale * ap[:-2, 1:-1]),
+        (_offset(grid, axis, 2 * k), scale * _shifted(grid, ap, _offset(grid, axis, k)))
+        for axis, _, _ in _axes(grid) for k in (1, -1)
     ]
 
 
 def laplacian_terms(grid, scale):
     """Constant-coefficient stride-1 couplings, a second operator shape."""
-    if grid.ndim == 1:
-        w = np.full(grid.shape, scale)
-        return [(+1, w), (-1, w.copy())]
     w = np.full(grid.shape, scale)
+    if grid.ndim == 1:
+        return [((+1,), w), ((-1,), w.copy())]
     return [((0, +1), w), ((0, -1), w.copy()), ((+1, 0), w.copy()), ((-1, 0), w.copy())]
 
 
@@ -95,7 +92,7 @@ LAPLACIAN_GRIDS = (Grid(nx=11), Grid(nx=9, bc_x=(Wall(), Wall())), Grid(nx=6, ny
 
 def make_operator(grid, scale=0.3):
     a = 0.5 + RNG.random(grid.shape)
-    return DiffusionOperator(grid, 2, stride2_terms(grid, a, scale))
+    return DiffusionOperator(grid, stride2_terms(grid, a, scale))
 
 
 @pytest.mark.parametrize("grid", GRID_CASES)
@@ -165,12 +162,12 @@ def test_linear_solves_match_dense_oracle(grid):
 def coo_matrix_reference(op):
     """A of ``op`` assembled from scratch, term by term, through COO."""
     grid, n = op.grid, op.grid.size
-    gm = grid.ghost_map(op.width)
+    gm = grid.ghost_map()
     rows, cols, vals = [], [], []
     c = np.arange(n)
     for off, w in op.terms:
         wf = np.asarray(w, dtype=float).ravel()
-        nb = np.asarray(_shifted(grid, gm.src, op.width, off)).ravel()
+        nb = np.asarray(_shifted(grid, gm.src, off)).ravel()
         rows += [c, c]
         cols += [nb, c]
         vals += [wf, -wf]
@@ -185,7 +182,7 @@ def reference_cases():
     for grid in GRID_CASES:
         yield grid, [make_operator(grid), make_operator(grid, scale=0.7)]
     for grid in LAPLACIAN_GRIDS:
-        yield grid, [DiffusionOperator(grid, 1, laplacian_terms(grid, s)) for s in (0.7, 0.2)]
+        yield grid, [DiffusionOperator(grid, laplacian_terms(grid, s)) for s in (0.7, 0.2)]
 
 
 def test_pattern_assembly_matches_coo_reference():
@@ -288,7 +285,7 @@ def congested_room():
     law = PressureLaw(epsilon=1e-4, alpha=2.0, gamma=2.0)
     rng = np.random.default_rng(3)
     grid = Grid(nx=24, ny=20, bc_x=(Wall(), Wall()), bc_y=(OutflowWindow(0.3, 0.7), Wall()))
-    op = DiffusionOperator(grid, 2, stride2_terms(grid, 0.5 + rng.random(grid.shape), 1.0))
+    op = DiffusionOperator(grid, stride2_terms(grid, 0.5 + rng.random(grid.shape), 1.0))
     problem = pressure_problem(grid, op, 0.9 + 0.09 * rng.random(grid.size), law)
     return problem, np.full(grid.shape, singular_pressure(0.5, law))
 
@@ -360,7 +357,7 @@ def counted_f(problem):
 def test_forcing_probe_costs_two_f_evaluations_per_2d_solve():
     # 1D: f only inside residuals
     grid = Grid(nx=24, bc_x=(Wall(), Wall()))
-    op = DiffusionOperator(grid, 2, stride2_terms(grid, 0.5 + RNG.random(24), 0.05))
+    op = DiffusionOperator(grid, stride2_terms(grid, 0.5 + RNG.random(24), 0.05))
     problem = pressure_problem(grid, op, 0.2 + 0.7 * RNG.random(24))
     calls = counted_f(problem)
     _, report = solve_newton(problem, np.full(24, 0.1), lower=0.0)
@@ -401,7 +398,7 @@ def test_chain_slots_hold_beyond_int32_keys():
 
 def test_laplacian_form_linear_solve():
     for grid in LAPLACIAN_GRIDS:
-        op = DiffusionOperator(grid, 1, laplacian_terms(grid, 0.7))
+        op = DiffusionOperator(grid, laplacian_terms(grid, 0.7))
         A = op.matrix()
         u_exact = RNG.random(grid.size)
         rhs = u_exact - A @ u_exact
@@ -468,7 +465,7 @@ def pressure_problem(grid, op, rhs, law=LAW):
 
 def test_zero_coupling_reduces_to_analytic_inverse():
     grid = Grid(nx=16)
-    op = DiffusionOperator(grid, 2, stride2_terms(grid, np.zeros(16), 1.0))
+    op = DiffusionOperator(grid, stride2_terms(grid, np.zeros(16), 1.0))
     target_Z = np.linspace(0.05, 0.9, 16)
     u, report = solve_newton(
         pressure_problem(grid, op, target_Z), np.full(16, 0.1), lower=0.0
@@ -483,7 +480,7 @@ def test_zero_coupling_reduces_to_analytic_inverse():
 )
 def test_nonlinear_manufactured_solution(grid, law=LAW):
     a = 0.5 + RNG.random(grid.shape)
-    op = DiffusionOperator(grid, 2, stride2_terms(grid, a, 0.05))
+    op = DiffusionOperator(grid, stride2_terms(grid, a, 0.05))
     A = op.matrix()
     u_exact = (0.02 + 2.0 * RNG.random(grid.size)) ** 2
     rhs = singular_pressure_inverse(u_exact, law) - A @ u_exact
@@ -501,7 +498,7 @@ def test_nonlinear_manufactured_solution(grid, law=LAW):
 def test_jacobian_matches_directional_difference():
     grid = Grid(nx=18)
     a = 0.5 + RNG.random(18)
-    op = DiffusionOperator(grid, 2, stride2_terms(grid, a, 0.1))
+    op = DiffusionOperator(grid, stride2_terms(grid, a, 0.1))
     problem = pressure_problem(grid, op, RNG.random(18))
     u = 0.1 + RNG.random(18)
     direction = RNG.standard_normal(18)
@@ -517,7 +514,7 @@ def test_projection_accepts_bound_solution():
     # slightly negative target: the root sits below the admissible range but
     # the clipped iterate already satisfies the tolerance
     grid = Grid(nx=8)
-    op = DiffusionOperator(grid, 2, stride2_terms(grid, np.zeros(8), 1.0))
+    op = DiffusionOperator(grid, stride2_terms(grid, np.zeros(8), 1.0))
     rhs = np.zeros(8)
     rhs[3] = -1e-12
     u, report = solve_newton(pressure_problem(grid, op, rhs), np.full(8, 0.2), lower=0.0)
@@ -527,7 +524,7 @@ def test_projection_accepts_bound_solution():
 
 def test_newton_error_carries_report():
     grid = Grid(nx=8)
-    op = DiffusionOperator(grid, 2, stride2_terms(grid, np.zeros(8), 1.0))
+    op = DiffusionOperator(grid, stride2_terms(grid, np.zeros(8), 1.0))
     with pytest.raises(NewtonError) as err:
         solve_newton(pressure_problem(grid, op, -np.ones(8)), np.full(8, 0.2), lower=0.0)
     assert err.value.report.converged is False
@@ -538,7 +535,7 @@ def test_bound_pinned_stall_fails_at_once():
     # the root lies below the bound, so once the iterate sits on it no step
     # lowers the residual: the first stalled line search ends the solve
     grid = Grid(nx=8)
-    op = DiffusionOperator(grid, 2, stride2_terms(grid, np.zeros(8), 1.0))
+    op = DiffusionOperator(grid, stride2_terms(grid, np.zeros(8), 1.0))
     with pytest.raises(NewtonError, match="line search stalled") as err:
         solve_newton(pressure_problem(grid, op, -np.ones(8)), np.full(8, 0.2), lower=0.0)
     assert err.value.report.iterations <= 2
@@ -550,7 +547,7 @@ class Tripped(Exception):
 
 def test_iterate_hook_sees_preclip_values():
     grid = Grid(nx=8)
-    op = DiffusionOperator(grid, 2, stride2_terms(grid, np.zeros(8), 1.0))
+    op = DiffusionOperator(grid, stride2_terms(grid, np.zeros(8), 1.0))
     problem = identity_problem(op, np.full(8, -5.0))
 
     def hook(u_raw):
@@ -564,7 +561,7 @@ def test_iterate_hook_sees_preclip_values():
 def test_dominance_check_flags_degenerate_diagonal():
     grid = Grid(nx=8)
     a = np.ones(8)
-    op = DiffusionOperator(grid, 2, stride2_terms(grid, a, 0.3))
+    op = DiffusionOperator(grid, stride2_terms(grid, a, 0.3))
     problem = EllipticProblem(
         op=op, rhs=np.zeros(8),
         f=lambda u: u, fprime=lambda u: np.full_like(u, -0.5),  # wrong-signed slope
@@ -580,7 +577,7 @@ def test_iteration_count_stays_flat_under_refinement():
         x = grid.centers_x
         a = 1.0 + 0.3 * np.sin(2 * np.pi * x)
         scale = 0.25 * 0.1**2  # dt = 0.1 dx makes the coupling mesh-free
-        op = DiffusionOperator(grid, 2, stride2_terms(grid, a, scale))
+        op = DiffusionOperator(grid, stride2_terms(grid, a, scale))
         target_Z = 0.5 + 0.3 * np.sin(2 * np.pi * x + 1.0)
         A = op.matrix()
         u_exact = singular_pressure(target_Z, LAW)

@@ -16,7 +16,7 @@ from congested_euler.fluxes import (
     minmod,
     rusanov_flux,
 )
-from congested_euler.grid import Grid, pad_field
+from congested_euler.grid import GHOST, Grid, pad_field
 from congested_euler.pressure import PressureLaw
 
 LAW = PressureLaw(epsilon=1e-1, alpha=2.0, gamma=2.0)
@@ -33,30 +33,27 @@ def test_minmod_frozen_pairs():
 
 
 def test_first_order_faces_are_neighbors():
-    w = 2
     padded = np.arange(10.0) ** 2
-    n = padded.size - 2 * w
-    left, right = face_states(padded, w, axis=0, order=1)
+    n = padded.size - 2 * GHOST
+    left, right = face_states(padded, axis=0, order=1)
     assert left.shape == right.shape == (n + 1,)
-    assert np.array_equal(left, padded[w - 1 : w + n])
-    assert np.array_equal(right, padded[w : w + n + 1])
+    assert np.array_equal(left, padded[GHOST - 1 : GHOST + n])
+    assert np.array_equal(right, padded[GHOST : GHOST + n + 1])
 
 
 def test_linear_data_reconstructs_face_values_exactly():
-    w = 2
     padded = 3.0 * np.arange(12.0) + 1.0
-    n = padded.size - 2 * w
-    left, right = face_states(padded, w, axis=0, order=2)
+    n = padded.size - 2 * GHOST
+    left, right = face_states(padded, axis=0, order=2)
     # Both sides of every face agree on the linear interpolant there.
-    expected = 3.0 * (np.arange(n + 1) + w - 0.5) + 1.0
+    expected = 3.0 * (np.arange(n + 1) + GHOST - 0.5) + 1.0
     np.testing.assert_allclose(left, expected, rtol=1e-14)
     np.testing.assert_allclose(right, expected, rtol=1e-14)
 
 
 def test_extrema_fall_back_to_donor_values():
-    w = 2
     padded = np.array([0.0, 1.0, 5.0, 1.0, 0.0, 1.0, 5.0, 1.0])
-    left, right = face_states(padded, w, axis=0, order=2)
+    left, right = face_states(padded, axis=0, order=2)
     # Cell 2 (value 5) and cell 4 (value 0) are extrema: zero slope there.
     assert left[1] == 5.0 and right[0] == 5.0
     assert left[3] == 0.0 and right[2] == 0.0
@@ -65,8 +62,8 @@ def test_extrema_fall_back_to_donor_values():
 def test_periodic_grid_faces_close_the_loop():
     grid = Grid(nx=6)
     vals = np.array([1.0, 4.0, 2.0, 7.0, 3.0, 5.0])
-    padded = pad_field(grid, vals, 2)
-    left, right = face_states(padded, 2, axis=0, order=2)
+    padded = pad_field(grid, vals)
+    left, right = face_states(padded, axis=0, order=2)
     assert left.shape == (7,)
     # The first and last faces are the same periodic face.
     assert left[0] == left[-1] and right[0] == right[-1]
@@ -75,9 +72,9 @@ def test_periodic_grid_faces_close_the_loop():
 def test_two_dimensional_axis_handling():
     grid = Grid(nx=4, ny=3)
     f = np.arange(12.0).reshape(3, 4)
-    padded = pad_field(grid, f, 2)
-    lx, rx = face_states(padded, 2, axis=1, order=2)
-    ly, ry = face_states(padded, 2, axis=0, order=2)
+    padded = pad_field(grid, f)
+    lx, rx = face_states(padded, axis=1, order=2)
+    ly, ry = face_states(padded, axis=0, order=2)
     assert lx.shape == (3, 5) and ly.shape == (4, 4)
     # Rows of f step by 1 in x and 4 in y; linear data is exact even across
     # the periodic seam only where the wrap keeps it linear, so check an
@@ -115,12 +112,11 @@ def test_rusanov_flux_algebra():
     st.lists(st.floats(min_value=0.1, max_value=9.0), min_size=8, max_size=20),
 )
 def test_reconstruction_stays_within_stencil_bounds(cells):
-    w = 2
     padded = np.asarray(cells)
-    n = padded.size - 2 * w
-    left, right = face_states(padded, w, axis=0, order=2)
+    n = padded.size - 2 * GHOST
+    left, right = face_states(padded, axis=0, order=2)
     for i in range(n + 1):
-        jl, jr = w - 1 + i, w + i
+        jl, jr = GHOST - 1 + i, GHOST + i
         lo = min(padded[jl - 1 : jl + 2])
         hi = max(padded[jl - 1 : jl + 2])
         assert lo - 1e-12 <= left[i] <= hi + 1e-12

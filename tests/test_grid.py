@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from congested_euler.grid import (
+    GHOST,
     Grid,
     GridState,
     OutflowWindow,
@@ -18,7 +19,7 @@ from congested_euler.grid import (
 def test_periodic_pad_1d_hand_case():
     g = Grid(nx=5)
     f = np.arange(5.0)
-    out = pad_field(g, f, 2)
+    out = pad_field(g, f)
     np.testing.assert_array_equal(out, [3, 4, 0, 1, 2, 3, 4, 0, 1])
 
 
@@ -26,10 +27,10 @@ def test_wall_pad_1d_hand_case():
     g = Grid(nx=4, bc_x=(Wall(), Wall()))
     f = np.arange(4.0) + 1.0
     # scalars mirror without sign: [2,1, 1,2,3,4, 4,3]
-    np.testing.assert_array_equal(pad_field(g, f, 2), [2, 1, 1, 2, 3, 4, 4, 3])
+    np.testing.assert_array_equal(pad_field(g, f), [2, 1, 1, 2, 3, 4, 4, 3])
     # normal momentum mirrors with flipped sign
     np.testing.assert_array_equal(
-        pad_field(g, f, 2, kind="q1"), [-2, -1, 1, 2, 3, 4, -4, -3]
+        pad_field(g, f, kind="q1"), [-2, -1, 1, 2, 3, 4, -4, -3]
     )
 
 
@@ -40,34 +41,34 @@ def test_outflow_window_splits_bottom_side():
         ny=4,
         bc_y=(OutflowWindow(0.4, 0.6), Wall()),
     )
-    gm = g.ghost_map(1)
-    # bottom ghost row j=-1 sits at padded row 0; window spans centers 0.45, 0.55
-    row_sign = gm.sign_q2[0, 1:-1]
+    gm = g.ghost_map()
+    # bottom ghost row j=-1 sits at padded row 1; window spans centers 0.45, 0.55
+    row_sign = gm.sign_q2[1, 2:-2]
     expected = np.where((g.centers_x >= 0.4) & (g.centers_x <= 0.6), 1.0, -1.0)
     np.testing.assert_array_equal(row_sign, expected)
     # either way the ghost aliases the first interior row
-    np.testing.assert_array_equal(gm.src[0, 1:-1], np.arange(10))
+    np.testing.assert_array_equal(gm.src[1, 2:-2], np.arange(10))
 
 
 def test_corner_ghosts_compose_both_rules():
     g = Grid(nx=3, bc_x=(Wall(), Wall()), ny=3, bc_y=(Wall(), Wall()))
-    gm = g.ghost_map(1)
-    # corner ghost (-1,-1) mirrors cell (0,0) and flips both components
-    assert gm.src[0, 0] == 0
-    assert gm.sign_q1[0, 0] == -1.0 and gm.sign_q2[0, 0] == -1.0
+    gm = g.ghost_map()
+    # corner ghost (-1,-1) at padded (1, 1) mirrors cell (0,0) and flips both components
+    assert gm.src[1, 1] == 0
+    assert gm.sign_q1[1, 1] == -1.0 and gm.sign_q2[1, 1] == -1.0
     # edge ghost left of (0, 1): flips q1 only
-    assert gm.src[2, 0] == 3 and gm.sign_q1[2, 0] == -1.0 and gm.sign_q2[2, 0] == 1.0
+    assert gm.src[3, 1] == 3 and gm.sign_q1[3, 1] == -1.0 and gm.sign_q2[3, 1] == 1.0
 
 
 def test_periodic_pad_2d_wraps_both_axes():
     g = Grid(nx=4, ny=3)
     f = np.arange(12.0).reshape(3, 4)
-    out = pad_field(g, f, 1)
-    assert out.shape == (5, 6)
-    np.testing.assert_array_equal(interior(g, out, 1), f)
-    np.testing.assert_array_equal(out[0, 1:-1], f[-1])
-    np.testing.assert_array_equal(out[1:-1, 0], f[:, -1])
-    assert out[0, 0] == f[-1, -1]
+    out = pad_field(g, f)
+    assert out.shape == (7, 8)
+    np.testing.assert_array_equal(interior(g, out), f)
+    np.testing.assert_array_equal(out[1, 2:-2], f[-1])
+    np.testing.assert_array_equal(out[2:-2, 1], f[:, -1])
+    assert out[1, 1] == f[-1, -1]
 
 
 def test_grid_validation():
@@ -78,7 +79,7 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         Grid(nx=4, bc_y=(Wall(), Wall()))
     with pytest.raises(ValueError):
-        Grid(nx=2, bc_x=(Wall(), Wall())).ghost_map(3)  # mirror leaves the grid
+        Grid(nx=1, bc_x=(Wall(), Wall())).ghost_map()  # mirror leaves the grid
 
 
 def test_mass_and_l1_weighting():
@@ -99,28 +100,26 @@ def test_state_consistency_helpers():
     assert stt.rho[0] == pytest.approx(0.7)
 
 
-@given(st.integers(4, 12), st.integers(1, 3), st.data())
-def test_padding_preserves_constants(n, w, data):
+@given(st.integers(4, 12), st.data())
+def test_padding_preserves_constants(n, data):
     bc = data.draw(st.sampled_from(["periodic", "wall", "outflow"]))
     bcs = {
         "periodic": (Periodic(), Periodic()),
         "wall": (Wall(), Wall()),
         "outflow": (OutflowWindow(0.0, 1.0), OutflowWindow(0.0, 1.0)),
     }[bc]
-    if bc != "periodic" and w > n:
-        w = n
     g = Grid(nx=n, bc_x=bcs)
-    out = pad_field(g, np.full(n, 3.5), w)
+    out = pad_field(g, np.full(n, 3.5))
     np.testing.assert_array_equal(out, 3.5)
 
 
-@given(st.integers(4, 12), st.integers(1, 4))
-def test_wall_pad_antisymmetric_momentum(n, w):
-    w = min(w, n)
+@given(st.integers(4, 12))
+def test_wall_pad_antisymmetric_momentum(n):
+    w = GHOST
     g = Grid(nx=n, bc_x=(Wall(), Wall()))
     rng = np.random.default_rng(0)
     q = rng.standard_normal(n)
-    out = pad_field(g, q, w, kind="q1")
+    out = pad_field(g, q, kind="q1")
     for k in range(w):
         assert out[w - 1 - k] == -out[w + k]
         assert out[w + n + k] == -out[w + n - 1 - k]
@@ -133,9 +132,9 @@ SIDE_KINDS = {
 }
 
 
-def gather_pad(grid, values, width, kind):
+def gather_pad(grid, values, kind):
     """Padding read through the ghost map's ``src`` and signs by fancy indexing."""
-    gm = grid.ghost_map(width)
+    gm = grid.ghost_map()
     return np.ravel(values)[gm.src] * {"scalar": 1.0, "q1": gm.sign_q1, "q2": gm.sign_q2}[kind]
 
 
@@ -146,6 +145,5 @@ def test_pad_field_matches_gather_through_src(x_sides, y_sides):
              bc_y=None if y_sides is None else SIDE_KINDS[y_sides])
     rng = np.random.default_rng(3)
     f = rng.standard_normal(g.shape)
-    for width in (1, 2):
-        for kind in ("scalar", "q1", "q2")[: g.ndim + 1]:
-            assert np.array_equal(pad_field(g, f, width, kind), gather_pad(g, f, width, kind))
+    for kind in ("scalar", "q1", "q2")[: g.ndim + 1]:
+        assert np.array_equal(pad_field(g, f, kind), gather_pad(g, f, kind))

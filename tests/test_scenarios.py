@@ -1,5 +1,8 @@
 """Scenario definitions, the run harness, and the refinement study."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -71,7 +74,7 @@ def test_riemann1d_initial_state():
     # zero-gradient ends: the ghosts repeat the far-field states
     assert grid.bc_x == (OutflowWindow(0.0, 1.0),) * 2
     for name, (lo, hi) in (("rho", (0.7, 0.7)), ("q1", (0.8, -0.8)), ("Z", (0.7 / 1.2, 0.7))):
-        padded = state.padded(grid, name, 2)
+        padded = state.padded(grid, name)
         assert np.array_equal(padded[[0, 1, -2, -1]], [lo, lo, hi, hi])
 
 
@@ -301,7 +304,7 @@ def test_scenario_error_names_the_background_cfl(monkeypatch, fail_at):
         info, dt, dx = infos[-1]
         cfl = info.max_speed * dt / dx
         assert cfl > 0.0
-        assert msg.endswith(f"background CFL of the last completed step: {cfl:.3g}")
+        assert msg.endswith(f"background CFL of the last completed step: {cfl:.6g}")
 
 
 def test_run_scenario_stops_when_the_background_cfl_exceeds_one():
@@ -311,7 +314,23 @@ def test_run_scenario_stops_when_the_background_cfl_exceeds_one():
     with pytest.raises(scenarios.ScenarioError) as err:
         scenarios.run_scenario(s)
     assert err.value.step == 1
-    assert str(err.value) == "step 1 failed at t=0: background CFL 1.16 exceeds 1"
+    assert str(err.value) == "step 1 failed at t=0: background CFL 1.16304 exceeds 1"
+
+
+def test_cfl_stop_prints_a_number_above_one(monkeypatch):
+    # a CFL just above 1 must not print as "1": the zq o2 tube at eps 1e-4
+    # stops at a CFL of 1.00255
+    real_step = scheme_conservative.step
+
+    def overshoot(grid, state, dt, law, **kw):
+        new, info = real_step(grid, state, dt, law, **kw)
+        return new, dataclasses.replace(info, max_speed=1.0025 * grid.dx / dt)
+
+    monkeypatch.setattr(scheme_conservative, "step", overshoot)
+    with pytest.raises(scenarios.ScenarioError) as err:
+        scenarios.run_scenario(Scenario(kind="smooth1d", nx=16, t_end=0.1))
+    cfl = re.fullmatch(r"step 1 failed at t=0: background CFL (\S+) exceeds 1", str(err.value))
+    assert float(cfl.group(1)) > 1.0
 
 
 def test_scenario_error_keeps_the_steps_that_returned(monkeypatch):
@@ -397,6 +416,16 @@ def test_convergence_study_self_comparison_is_zero():
         assert np.all(errs[:-1] > 0)
         assert np.isfinite(report.slopes[name])
     assert report.dxs == [1 / 16, 1 / 32, 1 / 64]
+
+
+def test_convergence_study_reports_the_spacings_it_ran():
+    # 0.031 runs 32 cells, so the study is the one at 1/32 in every figure
+    s = Scenario(kind="smooth1d", nx=16, t_end=0.01, scheme="zq", order=2)
+    report = scenarios.run_convergence_study(s, [0.0625, 0.031, 0.015625])
+    exact = scenarios.run_convergence_study(s, [1 / 16, 1 / 32, 1 / 64])
+    assert report.dxs == exact.dxs == [1 / 16, 1 / 32, 1 / 64]
+    assert (report.ref_dx, report.ref_dt) == (exact.ref_dx, exact.ref_dt)
+    assert report.slopes == exact.slopes
 
 
 def test_convergence_study_fixed_dt_plumbing():

@@ -17,11 +17,13 @@ from hypothesis import strategies as st
 from congested_euler import scheme_conservative as zq
 from congested_euler import scheme_semilag as sl
 from congested_euler.grid import (
+    GHOST,
     Grid,
     GridState,
     OutflowWindow,
     Periodic,
     Wall,
+    _axes,
     l1_error,
     pad_field,
     total_mass,
@@ -53,7 +55,7 @@ def test_lagrange_nodal_queries_return_nodal_values():
     values = 0.5 + rng.random(16)
     v = np.ones(16)
     for k in (1, 5):
-        out = sl.semilag_advect(values, v, k * grid.dx, grid, order=1)
+        out = sl.semilag_advect(values, (v,), k * grid.dx, grid, order=1)
         for i in (0, 5, 15):
             assert out[i] == pytest.approx(values[(i - k) % 16], abs=1e-15)
 
@@ -69,7 +71,7 @@ def test_lagrange_r1_reproduces_cubics():
     clipped = 0
     for shift in (0.213, 0.5, 0.731):
         dt = shift * grid.dx
-        got = sl.semilag_advect(poly(xs), np.ones(32), dt, grid, order=1)[3:-3]
+        got = sl.semilag_advect(poly(xs), (np.ones(32),), dt, grid, order=1)[3:-3]
         # periodic wrap breaks the polynomial at the seam; check inside
         feet, west, east = (xs - dt)[3:-3], xs[2:-4], xs[3:-3]
         lo = np.minimum(poly(west), poly(east))
@@ -85,7 +87,7 @@ def test_semilag_zero_velocity_is_identity():
     grid = Grid(nx=20)
     rng = np.random.default_rng(7)
     field = 1.0 + rng.random(20)
-    out = sl.semilag_advect(field, np.zeros(20), 0.01, grid, order=1)
+    out = sl.semilag_advect(field, (np.zeros(20),), 0.01, grid, order=1)
     np.testing.assert_array_equal(out, field)
 
 
@@ -95,7 +97,7 @@ def test_semilag_constant_velocity_shifts_linear_data():
     field = 2.0 + 0.3 * x
     v = np.full(32, 0.37)
     dt = 0.01
-    out = sl.semilag_advect(field, v, dt, grid, order=1)
+    out = sl.semilag_advect(field, (v,), dt, grid, order=1)
     expected = 2.0 + 0.3 * (x - 0.37 * dt)
     # periodic wrap corrupts the seam cells; linear data is exact inside
     np.testing.assert_allclose(out[3:-3], expected[3:-3], rtol=0, atol=1e-14)
@@ -108,7 +110,7 @@ def test_semilag_integer_cfl_shift_is_exact():
     v = np.full(16, 3.0)  # v dt = 3 dx exactly
     dt = 3.0 * grid.dx / 3.0
     for time_order in (1, 2):
-        out = sl.semilag_advect(field, v, dt, grid, order=time_order)
+        out = sl.semilag_advect(field, (v,), dt, grid, order=time_order)
         np.testing.assert_allclose(out, np.roll(field, 3), rtol=0, atol=1e-13)
 
 
@@ -127,7 +129,7 @@ def test_taylor_backtrack_beats_euler_on_linear_velocity():
         for dt in (0.02, 0.01):
             foot = x * np.exp(-0.8 * dt)
             exact = 1.5 + np.exp(-(((foot - 0.45) / 0.1) ** 2))
-            out = sl.semilag_advect(field, v, dt, grid, order=time_order)
+            out = sl.semilag_advect(field, (v,), dt, grid, order=time_order)
             errs[time_order].append(float(np.max(np.abs(out - exact)[window])))
     s1 = np.log2(errs[1][0] / errs[1][1])
     s2 = np.log2(errs[2][0] / errs[2][1])
@@ -161,12 +163,12 @@ def test_interpolation_stays_within_its_data(seed, scale, time_order, grid):
 
 def tuple_index_advect(rho_star, velocity, dt, grid, order):
     """semilag_advect with each node read by a tuple of index arrays."""
-    pad = pad_field(grid, rho_star, 2)
+    pad = pad_field(grid, rho_star)
     feet = []
-    for (axis, h, qn), v, bcs in zip(zq._axes(grid), velocity, grid.bcs):
+    for (axis, h, qn), v, bcs in zip(_axes(grid), velocity, grid.bcs):
         u = sl._foot_positions(grid, v, dt, order, qn, axis, h)
         base, theta = sl._foot_base(u, grid.shape[axis], bcs)
-        feet.append((base + 1, sl._lagrange_weights(theta)))
+        feet.append((base + GHOST - 1, sl._lagrange_weights(theta)))
     bases, weights = zip(*feet[::-1])
     out = np.zeros(grid.shape)
     lo, hi = np.inf, -np.inf
@@ -199,7 +201,7 @@ def test_semilag_config_validation():
     grid = Grid(nx=8)
     field, v = np.ones(8), np.zeros(8)
     with pytest.raises(ValueError):
-        sl.semilag_advect(field, v, 0.01, grid, order=3)
+        sl.semilag_advect(field, (v,), 0.01, grid, order=3)
 
 
 # ---------------------------------------------------------------- relaxation
